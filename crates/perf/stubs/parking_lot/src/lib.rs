@@ -1,0 +1,141 @@
+//! Offline stand-in for `parking_lot` (see ../README.md): the subset of the
+//! lock API this workspace uses, backed by `std::sync`. Like parking_lot,
+//! a lock is not poisoned by a panicking holder.
+
+#![forbid(unsafe_code)]
+
+use std::ops::{Deref, DerefMut};
+use std::sync::{self, PoisonError, TryLockError};
+use std::time::Duration;
+
+#[derive(Debug, Default)]
+pub struct Mutex<T: ?Sized>(sync::Mutex<T>);
+
+/// The std guard sits in an `Option` so [`Condvar`] can move it through
+/// std's by-value wait and put it back behind the same `&mut` guard.
+#[derive(Debug)]
+pub struct MutexGuard<'a, T: ?Sized>(Option<sync::MutexGuard<'a, T>>);
+
+impl<T> Mutex<T> {
+    pub const fn new(value: T) -> Self {
+        Mutex(sync::Mutex::new(value))
+    }
+
+    pub fn into_inner(self) -> T {
+        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<T: ?Sized> Mutex<T> {
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        MutexGuard(Some(self.0.lock().unwrap_or_else(PoisonError::into_inner)))
+    }
+
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.0.try_lock() {
+            Ok(g) => Some(MutexGuard(Some(g))),
+            Err(TryLockError::Poisoned(p)) => Some(MutexGuard(Some(p.into_inner()))),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
+    pub fn get_mut(&mut self) -> &mut T {
+        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<T: ?Sized> Deref for MutexGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        self.0
+            .as_deref()
+            .expect("guard is only empty inside Condvar::wait")
+    }
+}
+
+impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        self.0
+            .as_deref_mut()
+            .expect("guard is only empty inside Condvar::wait")
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+pub struct WaitTimeoutResult(bool);
+
+impl WaitTimeoutResult {
+    pub fn timed_out(&self) -> bool {
+        self.0
+    }
+}
+
+#[derive(Debug, Default)]
+pub struct Condvar(sync::Condvar);
+
+impl Condvar {
+    pub const fn new() -> Self {
+        Condvar(sync::Condvar::new())
+    }
+
+    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        let inner = guard
+            .0
+            .take()
+            .expect("guard is only empty inside Condvar::wait");
+        guard.0 = Some(self.0.wait(inner).unwrap_or_else(PoisonError::into_inner));
+    }
+
+    pub fn wait_for<T>(
+        &self,
+        guard: &mut MutexGuard<'_, T>,
+        timeout: Duration,
+    ) -> WaitTimeoutResult {
+        let inner = guard
+            .0
+            .take()
+            .expect("guard is only empty inside Condvar::wait");
+        let (inner, result) = self
+            .0
+            .wait_timeout(inner, timeout)
+            .unwrap_or_else(PoisonError::into_inner);
+        guard.0 = Some(inner);
+        WaitTimeoutResult(result.timed_out())
+    }
+
+    pub fn notify_one(&self) -> bool {
+        self.0.notify_one();
+        true
+    }
+
+    pub fn notify_all(&self) -> usize {
+        self.0.notify_all();
+        0
+    }
+}
+
+#[derive(Debug, Default)]
+pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
+
+pub type RwLockReadGuard<'a, T> = sync::RwLockReadGuard<'a, T>;
+pub type RwLockWriteGuard<'a, T> = sync::RwLockWriteGuard<'a, T>;
+
+impl<T> RwLock<T> {
+    pub const fn new(value: T) -> Self {
+        RwLock(sync::RwLock::new(value))
+    }
+
+    pub fn into_inner(self) -> T {
+        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<T: ?Sized> RwLock<T> {
+    pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        self.0.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        self.0.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}
