@@ -1,13 +1,21 @@
 //! Criterion microbenchmarks of the substrates: the GEMM and convolution
-//! kernels, the JSON wire codec, the binary serving protocol, and broker
-//! produce/fetch round trips. These are the primitives whose costs compose
-//! into every table and figure.
+//! kernels, the JSON wire codec, the binary serving protocol, broker
+//! produce/fetch round trips, and the broker's RPC frames and round trips.
+//! These are the primitives whose costs compose into every table and figure.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use std::borrow::Cow;
 use std::hint::black_box;
+use std::sync::Arc;
 
 use bytes::Bytes;
-use crayfish_broker::{Broker, PartitionConsumer, Producer, ProducerConfig};
+use crayfish::chaos::ChaosHandle;
+use crayfish::net::InProcTransport;
+use crayfish_broker::wire::{self, Request, Response};
+use crayfish_broker::{
+    rpc, Broker, BrokerApi, FetchedRecord, PartitionConsumer, Producer, ProducerConfig,
+    RemoteBroker,
+};
 use crayfish_core::batch::CrayfishDataBatch;
 use crayfish_models::{ffnn, tiny};
 use crayfish_runtime::exec::FusedExec;
@@ -185,6 +193,93 @@ fn bench_broker(c: &mut Criterion) {
     group.finish();
 }
 
+/// The broker's wire path, one layer at a time: what it costs to put a
+/// record batch into a frame and take it out again (the `Append` request an
+/// engine's producer sends, the `Records` reply its consumer receives), and
+/// what one RPC costs end to end with and without a socket under it.
+fn bench_broker_rpc(c: &mut Criterion) {
+    let mut group = c.benchmark_group("broker_rpc");
+    group.sample_size(20);
+    for (shape, count, size) in [
+        ("1x7kb", 1usize, 7 * 1024usize),
+        ("500x7kb", 500, 7 * 1024),
+        ("1x450kb", 1, 450 * 1024),
+    ] {
+        let records: Vec<(Bytes, f64)> = (0..count)
+            .map(|i| (Bytes::from(vec![i as u8; size]), i as f64))
+            .collect();
+        let append = Request::Append {
+            topic: "bench",
+            partition: 0,
+            dedup: Some((1, 0)),
+            records: Cow::Borrowed(&records),
+        };
+        group.bench_function(format!("append_encode_{shape}"), |bench| {
+            bench.iter(|| black_box(append.encode()))
+        });
+        let frame = Bytes::from(append.encode());
+        group.bench_function(format!("append_decode_{shape}"), |bench| {
+            bench.iter(|| black_box(Request::decode(black_box(&frame)).unwrap()))
+        });
+
+        let fetched = Ok(Response::Records(
+            records
+                .iter()
+                .enumerate()
+                .map(|(i, (value, produce_time_ms))| FetchedRecord {
+                    partition: 0,
+                    offset: i as u64,
+                    value: value.clone(),
+                    produce_time_ms: *produce_time_ms,
+                    append_time_ms: *produce_time_ms + 1.0,
+                })
+                .collect(),
+        ));
+        group.bench_function(format!("records_encode_{shape}"), |bench| {
+            bench.iter(|| {
+                let mut out = Vec::new();
+                wire::encode_reply(black_box(&fetched), &mut out);
+                black_box(out)
+            })
+        });
+        let mut reply = Vec::new();
+        wire::encode_reply(&fetched, &mut reply);
+        let reply = Bytes::from(reply);
+        group.bench_function(format!("records_decode_{shape}"), |bench| {
+            bench.iter(|| black_box(wire::decode_reply(black_box(reply.clone())).unwrap()))
+        });
+    }
+
+    let broker = Broker::new(NetworkModel::zero());
+    broker.create_topic("rt", 1).unwrap();
+    let served: Arc<dyn BrokerApi> = broker.clone();
+    let inproc = RemoteBroker::with_parts(
+        Box::new(InProcTransport::new(Arc::new(
+            move |frame, out: &mut Vec<u8>| rpc::handle_frame(served.as_ref(), frame, out),
+        ))),
+        crayfish_obs::ObsHandle::disabled(),
+        ChaosHandle::disabled(),
+    );
+    let server = rpc::serve(broker, ([127, 0, 0, 1], 0).into(), 2).unwrap();
+    let tcp = RemoteBroker::connect(server.addr());
+    let payload = Bytes::from(vec![0u8; 7 * 1024]);
+    for (transport, remote) in [("inproc", inproc), ("tcp", tcp)] {
+        group.bench_function(format!("roundtrip_end_offset_{transport}"), |bench| {
+            bench.iter(|| black_box(remote.end_offset("rt", 0).unwrap()))
+        });
+        group.bench_function(format!("roundtrip_append_read_7kb_{transport}"), |bench| {
+            bench.iter(|| {
+                let (offset, _) = remote
+                    .append("rt", 0, vec![(payload.clone(), 0.0)])
+                    .unwrap();
+                black_box(remote.read("rt", 0, offset, 1, usize::MAX).unwrap())
+            })
+        });
+    }
+    server.shutdown();
+    group.finish();
+}
+
 fn bench_tiny_models(c: &mut Criterion) {
     let mut group = c.benchmark_group("tiny_models");
     group.sample_size(30);
@@ -245,6 +340,7 @@ criterion_group!(
     bench_json_codec,
     bench_binary_protocol,
     bench_broker,
+    bench_broker_rpc,
     bench_tiny_models,
     bench_obs
 );

@@ -4,12 +4,12 @@ use std::fmt;
 
 /// Errors returned by broker operations.
 ///
-/// The enum derives `Serialize`/`Deserialize` so a broker-side failure
-/// round-trips *typed* through the RPC layer: a remote client matching on
-/// [`BrokerError::FencedLeaderEpoch`] or [`BrokerError::NotEnoughReplicas`]
-/// sees exactly the variant (and fields) the broker produced, never a
-/// stringified copy.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// A broker-side failure round-trips *typed* through the RPC layer
+/// ([`crate::wire`] gives every variant an error code and encodes its
+/// fields): a remote client matching on [`BrokerError::FencedLeaderEpoch`]
+/// or [`BrokerError::NotEnoughReplicas`] sees exactly the variant (and
+/// fields) the broker produced, never a stringified copy.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BrokerError {
     /// The topic does not exist.
     UnknownTopic(String),

@@ -41,18 +41,17 @@ pub mod producer;
 pub mod replication;
 pub mod rpc;
 pub mod topic;
+pub mod wire;
 
 pub use api::BrokerApi;
 pub use broker::Broker;
 pub use cluster::{BrokerId, ClusterConfig};
 pub use consumer::{GroupConsumer, PartitionConsumer};
 pub use error::BrokerError;
-pub use node::{
-    connect_cluster, probe_node, BrokerNode, ClusterTransport, NodeReply, NodeRequest, NodeStatus,
-};
+pub use node::{connect_cluster, probe_node, BrokerNode, ClusterTransport, NodeStatus};
 pub use producer::{Producer, ProducerConfig};
 pub use replication::{ReplicatedPartition, ReplicationStatus};
-pub use rpc::{BrokerReply, BrokerRequest, BrokerResponse, RemoteBroker};
+pub use rpc::RemoteBroker;
 pub use topic::FetchedRecord;
 
 /// Crate-wide result alias.

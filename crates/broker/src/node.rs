@@ -21,23 +21,30 @@
 //! status-polls every node, picks the reachable replica with the longest
 //! log (ties to the lowest node id), and promotes it with a fresh epoch.
 //! Replication requests carry the leader's epoch; a node that has seen a
-//! higher one answers [`NodeReply::Fenced`], which demotes the stale
+//! higher one answers [`Response::Fenced`], which demotes the stale
 //! leader — the split-brain story is the same as the in-process
 //! [`crate::replication::ReplicatedPartition`], just over TCP.
+//!
+//! Client operations and replication traffic are frames of the one layout
+//! in [`crate::wire`]: a node decodes each arriving frame once, and a
+//! client frame travels from the producer to the leader's log without
+//! being re-encoded on the way.
 
+use std::borrow::Cow;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
+use bytes::Bytes;
 
-use crayfish_net::{spawn_rpc_server, NetError, RpcHandler, ServerHandle, TcpTransport, Transport};
+use crayfish_net::{spawn_rpc_server, RpcHandler, ServerHandle, TcpTransport, Transport};
 use crayfish_sim::NetworkModel;
 use crayfish_sync::Mutex;
 
 use crate::broker::Broker;
 use crate::error::BrokerError;
-use crate::rpc::{self, BrokerReply, BrokerRequest, RemoteBroker, WireValue};
+use crate::rpc::{self, RemoteBroker};
+use crate::wire::{self, Record, Request, Response};
 use crate::Result;
 
 /// Upper bound on catch-up rounds per follower per append: each round
@@ -47,7 +54,7 @@ use crate::Result;
 const MAX_CATCH_UP_ROUNDS: u32 = 64;
 
 /// One node's view of itself, as answered to a `Status` probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeStatus {
     /// Node id.
     pub id: u32,
@@ -58,115 +65,6 @@ pub struct NodeStatus {
     /// Sum of log-end offsets across all topic partitions — the
     /// "caught-up-ness" metric failover elects on.
     pub log_end_total: u64,
-}
-
-/// Inter-node (and client-to-node) wire messages.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum NodeRequest {
-    /// A client operation: an encoded [`BrokerRequest`], answered with an
-    /// encoded [`BrokerReply`]. Only the leader serves these.
-    Client {
-        /// Encoded [`BrokerRequest`].
-        payload: Vec<u8>,
-    },
-    /// Leader → follower: append `records` at `base`. Carries the
-    /// producer's dedup-window identity so retries stay idempotent on
-    /// every replica.
-    Replicate {
-        /// Leader epoch of the sender.
-        epoch: u64,
-        /// Topic name.
-        topic: String,
-        /// Topic partition count (lets a follower that missed the
-        /// `CreateTopic` materialise the topic before appending).
-        partitions: u32,
-        /// Partition.
-        partition: u32,
-        /// Leader's log end before this batch — the offset the first
-        /// record must land at.
-        base: u64,
-        /// Producer dedup-window id; `None` for non-idempotent appends
-        /// and catch-up traffic.
-        producer_id: Option<u64>,
-        /// Sequence of the first record in the producer's stream.
-        first_seq: u64,
-        /// The batch.
-        records: Vec<WireValue>,
-    },
-    /// Leader → follower: replicated topic creation.
-    CreateTopic {
-        /// Leader epoch of the sender.
-        epoch: u64,
-        /// Topic name.
-        name: String,
-        /// Partition count.
-        partitions: u32,
-        /// Retention override.
-        retention_bytes: Option<u64>,
-    },
-    /// Leader → follower: replicated topic deletion.
-    DeleteTopic {
-        /// Leader epoch of the sender.
-        epoch: u64,
-        /// Topic name.
-        name: String,
-    },
-    /// Leader → follower: replicated consumer-group commit positions
-    /// (best-effort — a missed commit re-reads, never loses).
-    CommitOffsets {
-        /// Leader epoch of the sender.
-        epoch: u64,
-        /// Consumer group.
-        group: String,
-        /// Topic name.
-        topic: String,
-        /// `(partition, next_offset)` pairs.
-        offsets: Vec<(u32, u64)>,
-    },
-    /// Failover: become leader at `epoch` (must exceed every epoch the
-    /// node has seen).
-    Promote {
-        /// The new epoch.
-        epoch: u64,
-    },
-    /// Liveness + election probe.
-    Status,
-}
-
-/// Replies to [`NodeRequest`]s.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum NodeReply {
-    /// Answer to a `Client` request: an encoded [`BrokerReply`].
-    Client {
-        /// Encoded [`BrokerReply`].
-        payload: Vec<u8>,
-    },
-    /// Replication (or replicated admin/commit) applied; the follower's
-    /// new log end for the partition.
-    Ack {
-        /// Follower log end after applying.
-        end: u64,
-    },
-    /// The follower's log does not line up with `base`; its actual end.
-    /// The leader responds with catch-up traffic.
-    Mismatch {
-        /// Follower's current log end.
-        end: u64,
-    },
-    /// The sender's epoch is stale; the receiver has seen `current`.
-    Fenced {
-        /// Highest epoch the receiver has observed.
-        current: u64,
-    },
-    /// The node accepted leadership at `epoch`.
-    Promoted {
-        /// The adopted epoch.
-        epoch: u64,
-    },
-    /// Status-probe answer.
-    Status(NodeStatus),
-    /// A node-level failure (malformed frame, local log error).
-    Error(BrokerError),
 }
 
 #[derive(Debug)]
@@ -284,72 +182,61 @@ impl BrokerNode {
     /// exceed the expected concurrent client count.
     pub fn serve(self: Arc<Self>, addr: SocketAddr, workers: usize) -> Result<ServerHandle> {
         let node = self.clone();
-        let handler: RpcHandler = Arc::new(move |frame: &[u8]| node.handle(frame));
-        spawn_rpc_server("broker-node", addr, workers, handler)
+        let handler: RpcHandler = Arc::new(move |frame, out: &mut Vec<u8>| node.handle(frame, out));
+        spawn_rpc_server("broker-node", addr, workers, handler, rpc::oversize_reply)
             .map_err(|e| BrokerError::Transport(format!("node serve: {e}")))
     }
 
-    /// Decode one request frame, run it, encode the reply.
-    pub fn handle(&self, frame: &[u8]) -> Vec<u8> {
-        let reply = match serde_json::from_slice::<NodeRequest>(frame) {
-            Ok(req) => self.dispatch(req),
-            Err(e) => NodeReply::Error(BrokerError::Transport(format!("bad node request: {e}"))),
-        };
-        serde_json::to_vec(&reply).unwrap_or_default()
+    /// Decode one request frame, run it, append the encoded reply to
+    /// `out`. The frame is taken by value: the log keeps slices of it.
+    pub fn handle(&self, frame: Vec<u8>, out: &mut Vec<u8>) {
+        let frame = Bytes::from(frame);
+        let reply = Request::decode(&frame).and_then(|req| self.dispatch(req));
+        wire::encode_reply(&reply, out);
     }
 
-    fn dispatch(&self, req: NodeRequest) -> NodeReply {
+    fn dispatch(&self, req: Request<'_>) -> Result<Response> {
         match req {
-            NodeRequest::Client { payload } => {
-                let reply = self.client(&payload);
-                NodeReply::Client {
-                    payload: serde_json::to_vec(&reply).unwrap_or_default(),
-                }
-            }
-            NodeRequest::Replicate {
+            Request::Replicate {
                 epoch,
                 topic,
                 partitions,
                 partition,
                 base,
-                producer_id,
-                first_seq,
+                dedup,
                 records,
             } => self.apply_replicate(
                 epoch,
-                &topic,
+                topic,
                 partitions,
                 partition,
                 base,
-                producer_id,
-                first_seq,
-                records,
+                dedup,
+                records.into_owned(),
             ),
-            NodeRequest::CreateTopic {
+            Request::ReplicateCreateTopic {
                 epoch,
                 name,
                 partitions,
                 retention_bytes,
             } => self.fenced(epoch, |node| {
-                let created = match retention_bytes {
-                    Some(bytes) => {
-                        node.local
-                            .create_topic_with_retention(&name, partitions, bytes as usize)
-                    }
-                    None => node.local.create_topic(&name, partitions),
+                let create = Request::CreateTopic {
+                    name,
+                    partitions,
+                    retention_bytes,
                 };
-                match created {
-                    Ok(()) | Err(BrokerError::TopicExists(_)) => NodeReply::Ack { end: 0 },
-                    Err(e) => NodeReply::Error(e),
+                match rpc::dispatch(node.local.as_ref(), create) {
+                    Ok(_) | Err(BrokerError::TopicExists(_)) => Ok(Response::Ack { end: 0 }),
+                    Err(e) => Err(e),
                 }
             }),
-            NodeRequest::DeleteTopic { epoch, name } => {
-                self.fenced(epoch, |node| match node.local.delete_topic(&name) {
-                    Ok(()) | Err(BrokerError::UnknownTopic(_)) => NodeReply::Ack { end: 0 },
-                    Err(e) => NodeReply::Error(e),
+            Request::ReplicateDeleteTopic { epoch, name } => {
+                self.fenced(epoch, |node| match node.local.delete_topic(name) {
+                    Ok(()) | Err(BrokerError::UnknownTopic(_)) => Ok(Response::Ack { end: 0 }),
+                    Err(e) => Err(e),
                 })
             }
-            NodeRequest::CommitOffsets {
+            Request::ReplicateCommits {
                 epoch,
                 group,
                 topic,
@@ -357,24 +244,29 @@ impl BrokerNode {
             } => self.fenced(epoch, |node| {
                 // Best-effort by design: a missed group commit means a
                 // re-read after failover, never a lost record.
-                for (partition, next) in offsets {
-                    node.local.commit_offset(&group, &topic, partition, next);
+                for &(partition, next) in offsets.iter() {
+                    node.local.commit_offset(group, topic, partition, next);
                 }
-                NodeReply::Ack { end: 0 }
+                Ok(Response::Ack { end: 0 })
             }),
-            NodeRequest::Promote { epoch } => self.promote(epoch),
-            NodeRequest::Status => NodeReply::Status(self.status()),
+            Request::Promote { epoch } => Ok(self.promote(epoch)),
+            Request::Status => Ok(Response::Node(self.status())),
+            client_op => self.client(client_op),
         }
     }
 
     /// Epoch-gate a replicated mutation: adopt newer epochs (demoting
     /// ourselves if we led), fence older ones.
-    fn fenced(&self, epoch: u64, apply: impl FnOnce(&BrokerNode) -> NodeReply) -> NodeReply {
+    fn fenced(
+        &self,
+        epoch: u64,
+        apply: impl FnOnce(&BrokerNode) -> Result<Response>,
+    ) -> Result<Response> {
         {
             let mut st = self.state.lock();
             if epoch < st.epoch {
                 self.fencings.inc();
-                return NodeReply::Fenced { current: st.epoch };
+                return Ok(Response::Fenced { current: st.epoch });
             }
             if epoch > st.epoch {
                 st.epoch = epoch;
@@ -383,7 +275,7 @@ impl BrokerNode {
                 // Same epoch from another claimed leader: split brain.
                 // Refuse — one of us will be promoted past the other.
                 self.fencings.inc();
-                return NodeReply::Fenced { current: st.epoch };
+                return Ok(Response::Fenced { current: st.epoch });
             }
         }
         apply(self)
@@ -397,204 +289,125 @@ impl BrokerNode {
         partitions: u32,
         partition: u32,
         base: u64,
-        producer_id: Option<u64>,
-        first_seq: u64,
-        records: Vec<WireValue>,
-    ) -> NodeReply {
+        dedup: Option<(u64, u64)>,
+        records: Vec<Record>,
+    ) -> Result<Response> {
         self.fenced(epoch, |node| {
             // A follower that missed the CreateTopic materialises it now;
             // its log starts empty and the Mismatch path backfills.
             if node.local.partitions(topic).is_err() {
                 let _ = node.local.create_topic(topic, partitions);
             }
-            let end = match node.local.end_offset(topic, partition) {
-                Ok(end) => end,
-                Err(e) => return NodeReply::Error(e),
+            let end = node.local.end_offset(topic, partition)?;
+            // With a dedup window, base <= end is enough: the window
+            // decides. A batch this replica already holds (it acked one
+            // the leader then failed) dedups to its original offsets; a
+            // genuinely new batch lands at `end`, which equals `base` once
+            // the in-order producer has replayed the gap.
+            let lines_up = match dedup {
+                Some(_) => base <= end,
+                None => base == end,
             };
-            let values = rpc::unwire_values(records);
-            let appended = match producer_id {
-                Some(pid) => {
-                    if base > end {
-                        return NodeReply::Mismatch { end };
-                    }
-                    // base <= end: the dedup window decides. A batch this
-                    // replica already holds (it acked one the leader then
-                    // failed) dedups to its original offsets; a genuinely
-                    // new batch lands at `end`, which equals `base` once
-                    // the in-order producer has replayed the gap.
-                    node.local
-                        .append_dedup(topic, partition, pid, first_seq, values)
-                }
-                None => {
-                    if base != end {
-                        return NodeReply::Mismatch { end };
-                    }
-                    node.local.append(topic, partition, values)
-                }
-            };
-            match appended {
-                Ok(_) => match node.local.end_offset(topic, partition) {
-                    Ok(end) => NodeReply::Ack { end },
-                    Err(e) => NodeReply::Error(e),
-                },
-                Err(e) => NodeReply::Error(e),
+            if !lines_up {
+                return Ok(Response::Mismatch { end });
             }
+            let append = Request::Append {
+                topic,
+                partition,
+                dedup,
+                records: Cow::Owned(records),
+            };
+            rpc::dispatch(node.local.as_ref(), append)?;
+            let end = node.local.end_offset(topic, partition)?;
+            Ok(Response::Ack { end })
         })
     }
 
-    fn promote(&self, epoch: u64) -> NodeReply {
+    fn promote(&self, epoch: u64) -> Response {
         let mut st = self.state.lock();
         if epoch <= st.epoch {
             self.fencings.inc();
-            return NodeReply::Fenced { current: st.epoch };
+            return Response::Fenced { current: st.epoch };
         }
         st.epoch = epoch;
         st.is_leader = true;
-        NodeReply::Promoted { epoch }
+        Response::Promoted { epoch }
     }
 
     /// Serve one client operation. Leader-only: every other node answers
     /// [`BrokerError::NotLeader`] so clients fail over.
-    fn client(&self, payload: &[u8]) -> BrokerReply {
+    fn client(&self, req: Request<'_>) -> Result<Response> {
         let epoch = {
             let st = self.state.lock();
             if !st.is_leader {
-                return BrokerReply::Err(BrokerError::NotLeader { epoch: st.epoch });
+                return Err(BrokerError::NotLeader { epoch: st.epoch });
             }
             st.epoch
         };
-        let req = match serde_json::from_slice::<BrokerRequest>(payload) {
-            Ok(req) => req,
-            Err(e) => return BrokerReply::Err(BrokerError::Transport(format!("bad request: {e}"))),
-        };
-        match req {
-            BrokerRequest::Append {
-                topic,
-                partition,
-                values,
-            } => self
-                .leader_append(epoch, &topic, partition, None, 0, values)
-                .into(),
-            BrokerRequest::AppendDedup {
-                topic,
-                partition,
-                producer_id,
-                first_seq,
-                values,
-            } => self
-                .leader_append(
-                    epoch,
-                    &topic,
-                    partition,
-                    Some(producer_id),
-                    first_seq,
-                    values,
-                )
-                .into(),
-            BrokerRequest::CreateTopic {
+        if let Request::Append {
+            topic,
+            partition,
+            dedup,
+            records,
+        } = req
+        {
+            return self.leader_append(epoch, topic, partition, dedup, records.into_owned());
+        }
+        // Admin and commit mutations are applied locally, then fanned out
+        // best-effort; the follower's copy of the request is encoded before
+        // the local dispatch consumes it.
+        let replicated = match &req {
+            _ if self.peers.is_empty() => None,
+            Request::CreateTopic {
                 name,
                 partitions,
                 retention_bytes,
-            } => {
-                let reply = rpc::dispatch(
-                    self.local.as_ref(),
-                    BrokerRequest::CreateTopic {
-                        name: name.clone(),
-                        partitions,
-                        retention_bytes,
-                    },
-                );
-                if matches!(reply, BrokerReply::Ok(_)) {
-                    self.broadcast(&NodeRequest::CreateTopic {
-                        epoch,
-                        name,
-                        partitions,
-                        retention_bytes,
-                    });
-                }
-                reply
-            }
-            BrokerRequest::DeleteTopic { name } => {
-                let reply = rpc::dispatch(
-                    self.local.as_ref(),
-                    BrokerRequest::DeleteTopic { name: name.clone() },
-                );
-                if matches!(reply, BrokerReply::Ok(_)) {
-                    self.broadcast(&NodeRequest::DeleteTopic { epoch, name });
-                }
-                reply
-            }
-            BrokerRequest::CommitOffset {
+            } => Some(Request::ReplicateCreateTopic {
+                epoch,
+                name,
+                partitions: *partitions,
+                retention_bytes: *retention_bytes,
+            }),
+            Request::DeleteTopic { name } => Some(Request::ReplicateDeleteTopic { epoch, name }),
+            Request::CommitOffset {
                 group,
                 topic,
                 partition,
                 next,
-            } => {
-                let reply = rpc::dispatch(
-                    self.local.as_ref(),
-                    BrokerRequest::CommitOffset {
-                        group: group.clone(),
-                        topic: topic.clone(),
-                        partition,
-                        next,
-                    },
-                );
-                if matches!(reply, BrokerReply::Ok(_)) {
-                    self.broadcast(&NodeRequest::CommitOffsets {
-                        epoch,
-                        group,
-                        topic,
-                        offsets: vec![(partition, next)],
-                    });
-                }
-                reply
-            }
-            BrokerRequest::CommitOffsetsFenced {
+            } => Some(Request::ReplicateCommits {
+                epoch,
                 group,
                 topic,
-                member,
-                generation,
+                offsets: Cow::Owned(vec![(*partition, *next)]),
+            }),
+            Request::CommitOffsetsFenced {
+                group,
+                topic,
                 offsets,
-            } => {
-                let reply = rpc::dispatch(
-                    self.local.as_ref(),
-                    BrokerRequest::CommitOffsetsFenced {
-                        group: group.clone(),
-                        topic: topic.clone(),
-                        member,
-                        generation,
-                        offsets: offsets.clone(),
-                    },
-                );
-                if matches!(reply, BrokerReply::Ok(_)) {
-                    self.broadcast(&NodeRequest::CommitOffsets {
-                        epoch,
-                        group,
-                        topic,
-                        offsets,
-                    });
-                }
-                reply
+                ..
+            } => Some(Request::ReplicateCommits {
+                epoch,
+                group,
+                topic,
+                offsets: Cow::Borrowed(&offsets[..]),
+            }),
+            _ => None,
+        }
+        .map(|msg| msg.encode());
+        let reply = rpc::dispatch(self.local.as_ref(), req);
+        if let (Ok(_), Some(frame)) = (&reply, replicated) {
+            for (_, transport) in &self.peers {
+                let _ = Self::send_peer(transport.as_ref(), &frame);
             }
-            other => rpc::dispatch(self.local.as_ref(), other),
         }
+        reply
     }
 
-    /// Best-effort fan-out of a replicated admin/commit mutation.
-    fn broadcast(&self, msg: &NodeRequest) {
-        for (_, transport) in &self.peers {
-            let _ = self.send_peer(transport.as_ref(), msg);
-        }
-    }
-
-    fn send_peer(&self, transport: &dyn Transport, msg: &NodeRequest) -> Result<NodeReply> {
-        let bytes = serde_json::to_vec(msg)
-            .map_err(|e| BrokerError::Transport(format!("encode node request: {e}")))?;
+    fn send_peer(transport: &dyn Transport, frame: &[u8]) -> Result<Response> {
         let raw = transport
-            .call(&bytes)
+            .call(frame)
             .map_err(|e| BrokerError::Transport(e.to_string()))?;
-        serde_json::from_slice::<NodeReply>(&raw)
-            .map_err(|e| BrokerError::Transport(format!("decode node reply: {e}")))
+        wire::decode_reply(Bytes::from(raw))
     }
 
     /// The quorum append: replicate to every reachable follower first,
@@ -605,10 +418,9 @@ impl BrokerNode {
         epoch: u64,
         topic: &str,
         partition: u32,
-        producer_id: Option<u64>,
-        first_seq: u64,
-        records: Vec<WireValue>,
-    ) -> Result<crate::rpc::BrokerResponse> {
+        dedup: Option<(u64, u64)>,
+        records: Vec<Record>,
+    ) -> Result<Response> {
         let _gate = self.append_gate.lock();
         let partitions = self.local.partitions(topic)?;
         if partition >= partitions {
@@ -619,21 +431,21 @@ impl BrokerNode {
         }
         let base = self.local.end_offset(topic, partition)?;
         let mut acks = 1u32; // self
-        for (_, transport) in &self.peers {
-            match self.replicate_one(
-                transport.as_ref(),
+        if !self.peers.is_empty() {
+            // Every follower is sent the same frame, encoded once.
+            let batch = Replication {
                 epoch,
                 topic,
                 partitions,
                 partition,
-                base,
-                producer_id,
-                first_seq,
-                &records,
-            ) {
-                Ok(true) => acks += 1,
-                Ok(false) => {} // unreachable or diverged: out of the ack set
-                Err(e) => return Err(e), // fenced: we are not the leader
+            };
+            let frame = batch.frame(base, dedup, Cow::Borrowed(&records));
+            for (_, transport) in &self.peers {
+                // Unreachable or diverged followers stay out of the ack
+                // set; a fencing reply means we are not the leader.
+                if self.replicate_one(transport.as_ref(), &batch, base, &frame)? {
+                    acks += 1;
+                }
             }
         }
         if acks < self.min_isr {
@@ -644,97 +456,62 @@ impl BrokerNode {
                 min_isr: self.min_isr,
             });
         }
-        let values = rpc::unwire_values(records);
-        let (offset, append_time_ms) = match producer_id {
-            Some(pid) => self
-                .local
-                .append_dedup(topic, partition, pid, first_seq, values)?,
-            None => self.local.append(topic, partition, values)?,
+        let append = Request::Append {
+            topic,
+            partition,
+            dedup,
+            records: Cow::Owned(records),
         };
-        Ok(crate::rpc::BrokerResponse::Appended {
-            offset,
-            append_time_ms,
-        })
+        rpc::dispatch(self.local.as_ref(), append)
     }
 
-    /// Replicate one batch to one follower, backfilling any gap between
-    /// its log and ours. `Ok(true)` = acked, `Ok(false)` = unreachable or
-    /// unrecoverable (excluded from quorum), `Err` = we were fenced.
-    #[allow(clippy::too_many_arguments)]
+    /// Replicate one batch (already encoded as `frame`, landing at `base`)
+    /// to one follower, backfilling any gap between its log and ours.
+    /// `Ok(true)` = acked, `Ok(false)` = unreachable or unrecoverable
+    /// (excluded from quorum), `Err` = we were fenced.
     fn replicate_one(
         &self,
         transport: &dyn Transport,
-        epoch: u64,
-        topic: &str,
-        partitions: u32,
-        partition: u32,
+        batch: &Replication<'_>,
         base: u64,
-        producer_id: Option<u64>,
-        first_seq: u64,
-        records: &[WireValue],
+        frame: &[u8],
     ) -> Result<bool> {
         let mut rounds = 0u32;
         loop {
             self.replications.inc();
-            let msg = NodeRequest::Replicate {
-                epoch,
-                topic: topic.to_string(),
-                partitions,
-                partition,
-                base,
-                producer_id,
-                first_seq,
-                records: records.to_vec(),
-            };
-            let reply = match self.send_peer(transport, &msg) {
+            let reply = match Self::send_peer(transport, frame) {
                 Ok(reply) => reply,
                 Err(_) => return Ok(false),
             };
             match reply {
-                NodeReply::Ack { .. } => return Ok(true),
-                NodeReply::Fenced { current } => return Err(self.fence(topic, partition, current)),
-                NodeReply::Mismatch { end } if end < base && rounds < MAX_CATCH_UP_ROUNDS => {
+                Response::Ack { .. } => return Ok(true),
+                Response::Fenced { current } => return Err(self.fence(batch, current)),
+                Response::Mismatch { end } if end < base && rounds < MAX_CATCH_UP_ROUNDS => {
                     rounds += 1;
                     // Backfill [end, base) from our own log (all of it is
                     // below `base`, hence already durable locally), then
                     // retry the original batch.
                     let missing = self.local.read(
-                        topic,
-                        partition,
+                        batch.topic,
+                        batch.partition,
                         end,
                         (base - end) as usize,
                         usize::MAX,
                     )?;
-                    if missing.is_empty() {
-                        // Retention already dropped the gap; the follower
-                        // cannot be made contiguous. Exclude it.
+                    // Retention may already have dropped (the start of)
+                    // the gap; the follower cannot be made contiguous.
+                    // Exclude it.
+                    if missing.first().map(|r| r.offset) != Some(end) {
                         return Ok(false);
                     }
-                    let backfill_base = missing[0].offset;
-                    if backfill_base != end {
-                        return Ok(false);
-                    }
-                    let catch_up = NodeRequest::Replicate {
-                        epoch,
-                        topic: topic.to_string(),
-                        partitions,
-                        partition,
-                        base: backfill_base,
-                        producer_id: None,
-                        first_seq: 0,
-                        records: missing
-                            .into_iter()
-                            .map(|r| WireValue {
-                                value: r.value.to_vec(),
-                                produce_time_ms: r.produce_time_ms,
-                            })
-                            .collect(),
-                    };
-                    match self.send_peer(transport, &catch_up) {
-                        Ok(NodeReply::Ack { .. }) => continue,
-                        Ok(NodeReply::Fenced { current }) => {
-                            return Err(self.fence(topic, partition, current))
-                        }
+                    let records: Vec<Record> = missing
+                        .into_iter()
+                        .map(|r| (r.value, r.produce_time_ms))
+                        .collect();
+                    let catch_up = batch.frame(end, None, Cow::Owned(records));
+                    match Self::send_peer(transport, &catch_up) {
+                        Ok(Response::Ack { .. }) => continue,
+                        Ok(Response::Fenced { current }) => return Err(self.fence(batch, current)),
                         _ => return Ok(false),
                     }
                 }
@@ -746,16 +523,40 @@ impl BrokerNode {
     /// A follower told us our epoch is stale: demote and surface the
     /// fencing error (transient — the producer retries against the new
     /// leader via client failover).
-    fn fence(&self, topic: &str, partition: u32, current: u64) -> BrokerError {
+    fn fence(&self, batch: &Replication<'_>, current: u64) -> BrokerError {
         self.fencings.inc();
         let mut st = self.state.lock();
         st.epoch = st.epoch.max(current);
         st.is_leader = false;
         BrokerError::FencedLeaderEpoch {
-            topic: topic.to_string(),
-            partition,
+            topic: batch.topic.to_string(),
+            partition: batch.partition,
             current,
         }
+    }
+}
+
+/// What every `Replicate` frame of one quorum append has in common: the
+/// batch itself and any catch-up traffic ahead of it.
+struct Replication<'a> {
+    epoch: u64,
+    topic: &'a str,
+    partitions: u32,
+    partition: u32,
+}
+
+impl Replication<'_> {
+    fn frame(&self, base: u64, dedup: Option<(u64, u64)>, records: Cow<'_, [Record]>) -> Vec<u8> {
+        Request::Replicate {
+            epoch: self.epoch,
+            topic: self.topic,
+            partitions: self.partitions,
+            partition: self.partition,
+            base,
+            dedup,
+            records,
+        }
+        .encode()
     }
 }
 
@@ -795,15 +596,12 @@ impl ClusterTransport {
         }
     }
 
-    fn encode(msg: &NodeRequest) -> crayfish_net::Result<Vec<u8>> {
-        serde_json::to_vec(msg).map_err(|e| NetError::Frame(format!("encode: {e}")))
-    }
-
-    /// Synthesise an encoded `BrokerReply::Err` so the wrapping
-    /// [`RemoteBroker`] surfaces a typed broker error.
-    fn error_reply(e: BrokerError) -> crayfish_net::Result<Vec<u8>> {
-        serde_json::to_vec(&BrokerReply::Err(e))
-            .map_err(|e| NetError::Frame(format!("encode: {e}")))
+    /// An encoded error reply, so the wrapping [`RemoteBroker`] surfaces a
+    /// typed broker error.
+    fn error_reply(e: BrokerError) -> Vec<u8> {
+        let mut out = Vec::new();
+        wire::encode_reply(&Err(e), &mut out);
+        out
     }
 
     /// Elect: status-poll everyone, adopt an existing max-epoch leader if
@@ -811,14 +609,11 @@ impl ClusterTransport {
     /// node was reachable.
     fn failover(&self) -> bool {
         self.failovers.inc();
-        let probe = match Self::encode(&NodeRequest::Status) {
-            Ok(bytes) => bytes,
-            Err(_) => return false,
-        };
+        let probe = Request::Status.encode();
         let mut statuses: Vec<(usize, NodeStatus)> = Vec::new();
         for (idx, (_, transport)) in self.nodes.iter().enumerate() {
             if let Ok(raw) = transport.call(&probe) {
-                if let Ok(NodeReply::Status(status)) = serde_json::from_slice::<NodeReply>(&raw) {
+                if let Ok(Response::Node(status)) = wire::decode_reply(Bytes::from(raw)) {
                     statuses.push((idx, status));
                 }
             }
@@ -845,16 +640,14 @@ impl ClusterTransport {
         else {
             return false;
         };
-        let promote = match Self::encode(&NodeRequest::Promote {
+        let promote = Request::Promote {
             epoch: max_epoch + 1,
-        }) {
-            Ok(bytes) => bytes,
-            Err(_) => return false,
-        };
+        }
+        .encode();
         if let Ok(raw) = self.nodes[idx].1.call(&promote) {
             // Any other reply is a fence: someone promoted past us
             // mid-election; the next attempt's status poll adopts them.
-            if let Ok(NodeReply::Promoted { .. }) = serde_json::from_slice::<NodeReply>(&raw) {
+            if let Ok(Response::Promoted { .. }) = wire::decode_reply(Bytes::from(raw)) {
                 *self.leader.lock() = idx;
                 return true;
             }
@@ -864,15 +657,13 @@ impl ClusterTransport {
 }
 
 impl Transport for ClusterTransport {
+    /// Forward a client frame, as it is, to the node believed to lead.
     fn call(&self, request: &[u8]) -> crayfish_net::Result<Vec<u8>> {
-        let wrapped = Self::encode(&NodeRequest::Client {
-            payload: request.to_vec(),
-        })?;
         let attempts = self.nodes.len().max(1) * 2;
         for attempt in 0..attempts {
             let idx = *self.leader.lock();
-            let raw = match self.nodes[idx].1.call(&wrapped) {
-                Ok(raw) => raw,
+            let reply = match self.nodes[idx].1.call(request) {
+                Ok(reply) => reply,
                 Err(e) if e.is_transient() => {
                     if !self.failover() && attempt + 1 == attempts {
                         return Err(e);
@@ -882,35 +673,18 @@ impl Transport for ClusterTransport {
                 }
                 Err(e) => return Err(e),
             };
-            match serde_json::from_slice::<NodeReply>(&raw) {
-                Ok(NodeReply::Client { payload }) => {
-                    // Leadership errors trigger the election; everything
-                    // else flows through to the caller typed.
-                    if let Ok(BrokerReply::Err(e)) = serde_json::from_slice::<BrokerReply>(&payload)
-                    {
-                        if matches!(
-                            e,
-                            BrokerError::NotLeader { .. } | BrokerError::FencedLeaderEpoch { .. }
-                        ) {
-                            self.failover();
-                            std::thread::sleep(Duration::from_millis(20));
-                            continue;
-                        }
-                    }
-                    return Ok(payload);
-                }
-                Ok(NodeReply::Error(e)) => return Self::error_reply(e),
-                Ok(other) => {
-                    return Self::error_reply(BrokerError::Transport(format!(
-                        "unexpected node reply: {other:?}"
-                    )))
-                }
-                Err(e) => return Err(NetError::Frame(format!("decode node reply: {e}"))),
+            // Leadership errors trigger the election; everything else
+            // flows through to the caller undecoded.
+            if wire::is_leadership_error(&reply) {
+                self.failover();
+                std::thread::sleep(Duration::from_millis(20));
+                continue;
             }
+            return Ok(reply);
         }
-        Self::error_reply(BrokerError::Transport(
+        Ok(Self::error_reply(BrokerError::Transport(
             "no leader reachable after failover attempts".to_string(),
-        ))
+        )))
     }
 }
 
@@ -919,10 +693,9 @@ impl Transport for ClusterTransport {
 /// polls this before letting an experiment proceed.
 pub fn probe_node(addr: SocketAddr) -> Option<NodeStatus> {
     let transport = TcpTransport::new(addr).with_read_timeout(Duration::from_secs(1));
-    let frame = serde_json::to_vec(&NodeRequest::Status).ok()?;
-    let raw = transport.call(&frame).ok()?;
-    match serde_json::from_slice::<NodeReply>(&raw) {
-        Ok(NodeReply::Status(status)) => Some(status),
+    let raw = transport.call(&Request::Status.encode()).ok()?;
+    match wire::decode_reply(Bytes::from(raw)) {
+        Ok(Response::Node(status)) => Some(status),
         _ => None,
     }
 }
@@ -950,7 +723,7 @@ pub fn connect_cluster(
 mod tests {
     use super::*;
     use crate::api::BrokerApi;
-    use bytes::Bytes;
+    use crayfish_net::NetError;
 
     /// Shared node registry: transports resolve their peer at call time,
     /// so a slot set to `None` behaves exactly like a SIGKILLed process
@@ -966,7 +739,11 @@ mod tests {
         fn call(&self, request: &[u8]) -> crayfish_net::Result<Vec<u8>> {
             let node = self.registry.lock()[self.peer as usize].clone();
             match node {
-                Some(node) => Ok(node.handle(request)),
+                Some(node) => {
+                    let mut reply = Vec::new();
+                    node.handle(request.to_vec(), &mut reply);
+                    Ok(reply)
+                }
                 None => Err(NetError::Closed),
             }
         }
@@ -1119,18 +896,14 @@ mod tests {
         // The old leader comes back, still believing it leads at epoch 0.
         registry.lock()[0] = Some(old_leader.clone());
         assert!(old_leader.status().is_leader);
-        let req = serde_json::to_vec(&BrokerRequest::Append {
-            topic: "t".into(),
+        let reply = old_leader.client(Request::Append {
+            topic: "t",
             partition: 0,
-            values: vec![WireValue {
-                value: vec![9],
-                produce_time_ms: 0.0,
-            }],
-        })
-        .expect("encode");
-        let reply = old_leader.client(&req);
+            dedup: None,
+            records: Cow::Owned(value(9)),
+        });
         match reply {
-            BrokerReply::Err(BrokerError::FencedLeaderEpoch { current, .. }) => {
+            Err(BrokerError::FencedLeaderEpoch { current, .. }) => {
                 assert!(current >= 1);
             }
             other => panic!("expected fencing, got {other:?}"),

@@ -101,10 +101,11 @@ struct ReplState {
     replicas: Vec<ReplicaLog>,
 }
 
-/// Observer snapshot of one partition's replication state. Serializable so
-/// a remote client's `replication_status` sees the same typed snapshot an
-/// in-process observer gets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// Observer snapshot of one partition's replication state. Travels the
+/// wire field by field ([`crate::wire`]), so a remote client's
+/// `replication_status` sees the same typed snapshot an in-process
+/// observer gets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicationStatus {
     /// Broker id of the current leader (which may be unreachable if no
     /// election has been triggered since it died).

@@ -1,24 +1,24 @@
 //! Typed broker RPC: [`BrokerApi`] over a [`crayfish_net::Transport`].
 //!
-//! The wire format is one JSON document per length-prefixed frame (the
-//! shared `crayfish-net` codec — the same framing the serving tier's gRPC
-//! analog uses). A request is a [`BrokerRequest`]; the response is a
-//! [`BrokerReply`], an explicit `Ok`/`Err` envelope whose error arm is the
-//! *full typed* [`BrokerError`] — `FencedLeaderEpoch { current }`,
-//! `NotEnoughReplicas { isr, min_isr }` and friends round-trip with their
-//! fields intact, so a remote producer's retry/fence logic matches the
-//! in-process one exactly (no lossy `to_string()` anywhere on the path).
+//! One request frame out, one reply frame back, both in the binary layout
+//! of [`crate::wire`] on the shared `crayfish-net` length-prefixed codec
+//! (the same framing the serving tier's gRPC analog uses). The reply's
+//! error arm is the *full typed* [`BrokerError`] — `FencedLeaderEpoch {
+//! current }`, `NotEnoughReplicas { isr, min_isr }` and friends round-trip
+//! with their fields intact, so a remote producer's retry/fence logic
+//! matches the in-process one exactly (no lossy `to_string()` anywhere on
+//! the path).
 //!
 //! [`serve`] exposes any `BrokerApi` on a TCP address via the shared
 //! reactor; [`RemoteBroker`] is the client side, itself a `BrokerApi`, so
 //! producers and consumers cannot tell the difference.
 
+use std::borrow::Cow;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crayfish_net::{spawn_rpc_server, RpcHandler, ServerHandle, Transport};
 use crayfish_sim::NetworkModel;
@@ -27,6 +27,7 @@ use crate::api::BrokerApi;
 use crate::error::BrokerError;
 use crate::replication::ReplicationStatus;
 use crate::topic::FetchedRecord;
+use crate::wire::{self, Request, Response};
 use crate::Result;
 
 /// Longest long-poll the server honours per `WaitForData` RPC. Kept safely
@@ -39,337 +40,54 @@ const MAX_SERVER_POLL: Duration = Duration::from_secs(8);
 /// within one slice.
 const CLIENT_POLL_SLICE: Duration = Duration::from_secs(1);
 
-/// One record value as carried by an append request.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WireValue {
-    /// Record payload.
-    pub value: Vec<u8>,
-    /// Client-side send time.
-    pub produce_time_ms: f64,
-}
-
-/// One fetched record as carried by a read response.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WireRecord {
-    /// Partition the record came from.
-    pub partition: u32,
-    /// Offset within the partition.
-    pub offset: u64,
-    /// Record payload.
-    pub value: Vec<u8>,
-    /// Client-side send time.
-    pub produce_time_ms: f64,
-    /// Broker-side `LogAppendTime`.
-    pub append_time_ms: f64,
-}
-
-impl From<FetchedRecord> for WireRecord {
-    fn from(r: FetchedRecord) -> WireRecord {
-        WireRecord {
-            partition: r.partition,
-            offset: r.offset,
-            value: r.value.to_vec(),
-            produce_time_ms: r.produce_time_ms,
-            append_time_ms: r.append_time_ms,
-        }
+fn appended((offset, append_time_ms): (u64, f64)) -> Response {
+    Response::Appended {
+        offset,
+        append_time_ms,
     }
 }
 
-impl From<WireRecord> for FetchedRecord {
-    fn from(r: WireRecord) -> FetchedRecord {
-        FetchedRecord {
-            partition: r.partition,
-            offset: r.offset,
-            value: Bytes::from(r.value),
-            produce_time_ms: r.produce_time_ms,
-            append_time_ms: r.append_time_ms,
-        }
-    }
-}
-
-pub(crate) fn wire_values(values: Vec<(Bytes, f64)>) -> Vec<WireValue> {
-    values
-        .into_iter()
-        .map(|(value, produce_time_ms)| WireValue {
-            value: value.to_vec(),
-            produce_time_ms,
-        })
-        .collect()
-}
-
-pub(crate) fn unwire_values(values: Vec<WireValue>) -> Vec<(Bytes, f64)> {
-    values
-        .into_iter()
-        .map(|v| (Bytes::from(v.value), v.produce_time_ms))
-        .collect()
-}
-
-/// Every operation of [`BrokerApi`] as a wire message.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum BrokerRequest {
-    /// `create_topic` / `create_topic_with_retention`.
-    CreateTopic {
-        /// Topic name.
-        name: String,
-        /// Partition count.
-        partitions: u32,
-        /// Retention override (`None` = default).
-        retention_bytes: Option<u64>,
-    },
-    /// `delete_topic`.
-    DeleteTopic {
-        /// Topic name.
-        name: String,
-    },
-    /// `partitions`.
-    Partitions {
-        /// Topic name.
-        topic: String,
-    },
-    /// `earliest_offset`.
-    EarliestOffset {
-        /// Topic name.
-        topic: String,
-        /// Partition.
-        partition: u32,
-    },
-    /// `end_offset`.
-    EndOffset {
-        /// Topic name.
-        topic: String,
-        /// Partition.
-        partition: u32,
-    },
-    /// `total_records`.
-    TotalRecords {
-        /// Topic name.
-        topic: String,
-    },
-    /// `append`.
-    Append {
-        /// Topic name.
-        topic: String,
-        /// Partition.
-        partition: u32,
-        /// Records.
-        values: Vec<WireValue>,
-    },
-    /// `append_dedup`.
-    AppendDedup {
-        /// Topic name.
-        topic: String,
-        /// Partition.
-        partition: u32,
-        /// Producer id for the dedup window.
-        producer_id: u64,
-        /// Sequence number of the first record.
-        first_seq: u64,
-        /// Records.
-        values: Vec<WireValue>,
-    },
-    /// `read`.
-    Read {
-        /// Topic name.
-        topic: String,
-        /// Partition.
-        partition: u32,
-        /// Start offset.
-        offset: u64,
-        /// Record cap.
-        max_records: u64,
-        /// Byte cap.
-        max_bytes: u64,
-    },
-    /// `replication_status`.
-    ReplicationStatus {
-        /// Topic name.
-        topic: String,
-    },
-    /// `commit_offset`.
-    CommitOffset {
-        /// Consumer group.
-        group: String,
-        /// Topic name.
-        topic: String,
-        /// Partition.
-        partition: u32,
-        /// Next offset to read.
-        next: u64,
-    },
-    /// `committed_offset`.
-    CommittedOffset {
-        /// Consumer group.
-        group: String,
-        /// Topic name.
-        topic: String,
-        /// Partition.
-        partition: u32,
-    },
-    /// `group_lag`.
-    GroupLag {
-        /// Consumer group.
-        group: String,
-        /// Topic name.
-        topic: String,
-    },
-    /// `join_group`.
-    JoinGroup {
-        /// Consumer group.
-        group: String,
-        /// Member id.
-        member: String,
-    },
-    /// `leave_group`.
-    LeaveGroup {
-        /// Consumer group.
-        group: String,
-        /// Member id.
-        member: String,
-    },
-    /// `group_generation`.
-    GroupGeneration {
-        /// Consumer group.
-        group: String,
-    },
-    /// `group_assignment`.
-    GroupAssignment {
-        /// Consumer group.
-        group: String,
-        /// Topic name.
-        topic: String,
-        /// Member id.
-        member: String,
-    },
-    /// `commit_offsets_fenced`.
-    CommitOffsetsFenced {
-        /// Consumer group.
-        group: String,
-        /// Topic name.
-        topic: String,
-        /// Member id.
-        member: String,
-        /// The member's generation.
-        generation: u64,
-        /// `(partition, next_offset)` pairs.
-        offsets: Vec<(u32, u64)>,
-    },
-    /// `topic_version`.
-    TopicVersion {
-        /// Topic name.
-        topic: String,
-    },
-    /// `wait_for_data` (server-side clamped to [`MAX_SERVER_POLL`]).
-    WaitForData {
-        /// Topic name.
-        topic: String,
-        /// Version already observed.
-        seen: u64,
-        /// Long-poll budget in milliseconds.
-        timeout_ms: u64,
-    },
-    /// Liveness probe (used by process supervisors to wait for readiness).
-    Ping,
-}
-
-/// The success arm of a [`BrokerReply`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum BrokerResponse {
-    /// Operation with no payload.
-    Unit,
-    /// A partition count.
-    Count(u32),
-    /// An offset, lag, generation, or version.
-    Offset(u64),
-    /// An append acknowledgement.
-    Appended {
-        /// First assigned offset.
-        offset: u64,
-        /// Broker-side `LogAppendTime`.
-        append_time_ms: f64,
-    },
-    /// A read response.
-    Records(Vec<WireRecord>),
-    /// A replication-status snapshot.
-    Status(Vec<ReplicationStatus>),
-    /// A group assignment.
-    Assignment(Vec<u32>),
-    /// Liveness acknowledgement.
-    Pong,
-}
-
-/// The wire envelope: a typed result. (The serde layer has no blanket
-/// `Result` representation, so the envelope is explicit.)
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum BrokerReply {
-    /// The operation succeeded.
-    Ok(BrokerResponse),
-    /// The operation failed broker-side; the full typed error.
-    Err(BrokerError),
-}
-
-impl From<Result<BrokerResponse>> for BrokerReply {
-    fn from(r: Result<BrokerResponse>) -> BrokerReply {
-        match r {
-            Ok(resp) => BrokerReply::Ok(resp),
-            Err(e) => BrokerReply::Err(e),
-        }
-    }
-}
-
-/// Execute one decoded request against a broker. Shared by [`serve`] and
-/// the multi-process node's client path, so both speak byte-identical
-/// protocol.
-pub fn dispatch(broker: &dyn BrokerApi, req: BrokerRequest) -> BrokerReply {
-    use BrokerRequest as Req;
-    use BrokerResponse as Resp;
-    let out: Result<BrokerResponse> = match req {
+/// Execute one decoded client request against a broker. Shared by
+/// [`serve`] and the multi-process node's client path, so both speak
+/// byte-identical protocol.
+pub fn dispatch(broker: &dyn BrokerApi, req: Request<'_>) -> Result<Response> {
+    use Request as Req;
+    use Response as Resp;
+    match req {
         Req::CreateTopic {
             name,
             partitions,
             retention_bytes,
         } => match retention_bytes {
-            Some(bytes) => broker
-                .create_topic_with_retention(&name, partitions, bytes as usize)
-                .map(|()| Resp::Unit),
-            None => broker.create_topic(&name, partitions).map(|()| Resp::Unit),
-        },
-        Req::DeleteTopic { name } => broker.delete_topic(&name).map(|()| Resp::Unit),
-        Req::Partitions { topic } => broker.partitions(&topic).map(Resp::Count),
+            Some(bytes) => broker.create_topic_with_retention(name, partitions, saturate(bytes)),
+            None => broker.create_topic(name, partitions),
+        }
+        .map(|()| Resp::Unit),
+        Req::DeleteTopic { name } => broker.delete_topic(name).map(|()| Resp::Unit),
+        Req::Partitions { topic } => broker.partitions(topic).map(Resp::Count),
         Req::EarliestOffset { topic, partition } => {
-            broker.earliest_offset(&topic, partition).map(Resp::Offset)
+            broker.earliest_offset(topic, partition).map(Resp::Offset)
         }
         Req::EndOffset { topic, partition } => {
-            broker.end_offset(&topic, partition).map(Resp::Offset)
+            broker.end_offset(topic, partition).map(Resp::Offset)
         }
-        Req::TotalRecords { topic } => broker.total_records(&topic).map(Resp::Offset),
+        Req::TotalRecords { topic } => broker.total_records(topic).map(Resp::Offset),
         Req::Append {
             topic,
             partition,
-            values,
-        } => broker.append(&topic, partition, unwire_values(values)).map(
-            |(offset, append_time_ms)| Resp::Appended {
-                offset,
-                append_time_ms,
-            },
-        ),
-        Req::AppendDedup {
-            topic,
-            partition,
-            producer_id,
-            first_seq,
-            values,
-        } => broker
-            .append_dedup(
-                &topic,
+            dedup,
+            records,
+        } => match dedup {
+            Some((producer_id, first_seq)) => broker.append_dedup(
+                topic,
                 partition,
                 producer_id,
                 first_seq,
-                unwire_values(values),
-            )
-            .map(|(offset, append_time_ms)| Resp::Appended {
-                offset,
-                append_time_ms,
-            }),
+                records.into_owned(),
+            ),
+            None => broker.append(topic, partition, records.into_owned()),
+        }
+        .map(appended),
         Req::Read {
             topic,
             partition,
@@ -378,41 +96,45 @@ pub fn dispatch(broker: &dyn BrokerApi, req: BrokerRequest) -> BrokerReply {
             max_bytes,
         } => broker
             .read(
-                &topic,
+                topic,
                 partition,
                 offset,
-                max_records as usize,
-                max_bytes as usize,
+                saturate(max_records),
+                // The reply has to fit one frame, whatever the client asks
+                // for: collect no more than that, then cut to what fits
+                // with the per-record headers counted.
+                saturate(max_bytes).min(wire::MAX_FRAME_BYTES),
             )
-            .map(|recs| Resp::Records(recs.into_iter().map(WireRecord::from).collect())),
-        Req::ReplicationStatus { topic } => broker.replication_status(&topic).map(Resp::Status),
+            .map(|mut records| {
+                wire::fit_records_to_frame(&mut records);
+                Resp::Records(records)
+            }),
+        Req::ReplicationStatus { topic } => broker.replication_status(topic).map(Resp::Status),
         Req::CommitOffset {
             group,
             topic,
             partition,
             next,
         } => broker
-            .commit_offset(&group, &topic, partition, next)
+            .commit_offset(group, topic, partition, next)
             .map(|()| Resp::Unit),
         Req::CommittedOffset {
             group,
             topic,
             partition,
         } => broker
-            .committed_offset(&group, &topic, partition)
+            .committed_offset(group, topic, partition)
             .map(Resp::Offset),
-        Req::GroupLag { group, topic } => broker.group_lag(&group, &topic).map(Resp::Offset),
-        Req::JoinGroup { group, member } => broker.join_group(&group, &member).map(Resp::Offset),
-        Req::LeaveGroup { group, member } => {
-            broker.leave_group(&group, &member).map(|()| Resp::Unit)
-        }
-        Req::GroupGeneration { group } => broker.group_generation(&group).map(Resp::Offset),
+        Req::GroupLag { group, topic } => broker.group_lag(group, topic).map(Resp::Offset),
+        Req::JoinGroup { group, member } => broker.join_group(group, member).map(Resp::Offset),
+        Req::LeaveGroup { group, member } => broker.leave_group(group, member).map(|()| Resp::Unit),
+        Req::GroupGeneration { group } => broker.group_generation(group).map(Resp::Offset),
         Req::GroupAssignment {
             group,
             topic,
             member,
         } => broker
-            .group_assignment(&group, &topic, &member)
+            .group_assignment(group, topic, member)
             .map(Resp::Assignment),
         Req::CommitOffsetsFenced {
             group,
@@ -421,38 +143,57 @@ pub fn dispatch(broker: &dyn BrokerApi, req: BrokerRequest) -> BrokerReply {
             generation,
             offsets,
         } => {
-            let offsets = offsets.into_iter().collect();
+            let offsets = offsets.iter().copied().collect();
             broker
-                .commit_offsets_fenced(&group, &topic, &member, generation, &offsets)
+                .commit_offsets_fenced(group, topic, member, generation, &offsets)
                 .map(|()| Resp::Unit)
         }
-        Req::TopicVersion { topic } => broker.topic_version(&topic).map(Resp::Offset),
+        Req::TopicVersion { topic } => broker.topic_version(topic).map(Resp::Offset),
         Req::WaitForData {
             topic,
             seen,
             timeout_ms,
         } => broker
             .wait_for_data(
-                &topic,
+                topic,
                 seen,
                 Duration::from_millis(timeout_ms).min(MAX_SERVER_POLL),
             )
             .map(Resp::Offset),
         Req::Ping => Ok(Resp::Pong),
-    };
-    out.into()
+        Req::Replicate { .. }
+        | Req::ReplicateCreateTopic { .. }
+        | Req::ReplicateDeleteTopic { .. }
+        | Req::ReplicateCommits { .. }
+        | Req::Promote { .. }
+        | Req::Status => Err(BrokerError::Transport(
+            "replication request sent to an endpoint that is not a cluster node".to_string(),
+        )),
+    }
 }
 
-/// Decode one request frame, dispatch it against `broker`, and encode the
-/// reply. Malformed requests answer with a typed `Transport` error rather
-/// than killing the connection — the framing layer already dropped
-/// anything unframeable.
-pub fn handle_frame(broker: &dyn BrokerApi, frame: &[u8]) -> Vec<u8> {
-    let reply = match serde_json::from_slice::<BrokerRequest>(frame) {
-        Ok(req) => dispatch(broker, req),
-        Err(e) => BrokerReply::Err(BrokerError::Transport(format!("bad request: {e}"))),
-    };
-    serde_json::to_vec(&reply).unwrap_or_default()
+/// A wire `u64` as a local size: a cap larger than this host can count is
+/// no cap.
+fn saturate(n: u64) -> usize {
+    usize::try_from(n).unwrap_or(usize::MAX)
+}
+
+/// Decode one request frame, dispatch it against `broker`, and append the
+/// encoded reply to `out`. The frame is taken by value: appended records
+/// are stored as slices of it, not copied out. Malformed requests answer
+/// with a typed `Transport` error rather than killing the connection — the
+/// framing layer already dropped anything unframeable.
+pub fn handle_frame(broker: &dyn BrokerApi, frame: Vec<u8>, out: &mut Vec<u8>) {
+    let frame = Bytes::from(frame);
+    let reply = Request::decode(&frame).and_then(|req| dispatch(broker, req));
+    wire::encode_reply(&reply, out);
+}
+
+/// The reply a served endpoint gives in place of one that does not fit a
+/// frame (see [`crayfish_net::spawn_rpc_server`]).
+pub(crate) fn oversize_reply(len: usize, out: &mut Vec<u8>) {
+    let error = BrokerError::Transport(format!("reply of {len} bytes exceeds the frame cap"));
+    wire::encode_reply(&Err(error), out);
 }
 
 /// Expose `broker` on `addr` over the shared reactor, decoding requests on
@@ -460,8 +201,9 @@ pub fn handle_frame(broker: &dyn BrokerApi, frame: &[u8]) -> Vec<u8> {
 /// the expected concurrent client count). Returns the listener handle;
 /// dropping it stops the server.
 pub fn serve(broker: Arc<dyn BrokerApi>, addr: SocketAddr, workers: usize) -> Result<ServerHandle> {
-    let handler: RpcHandler = Arc::new(move |frame: &[u8]| handle_frame(broker.as_ref(), frame));
-    spawn_rpc_server("broker-rpc", addr, workers, handler)
+    let handler: RpcHandler =
+        Arc::new(move |frame, out: &mut Vec<u8>| handle_frame(broker.as_ref(), frame, out));
+    spawn_rpc_server("broker-rpc", addr, workers, handler, oversize_reply)
         .map_err(|e| BrokerError::Transport(format!("serve: {e}")))
 }
 
@@ -535,38 +277,43 @@ impl RemoteBroker {
         })
     }
 
-    /// One RPC round-trip: encode, call, decode, unwrap the typed result.
-    fn call(&self, req: &BrokerRequest, hist: &crayfish_obs::HistHandle) -> Result<BrokerResponse> {
+    /// One RPC round-trip: encode, call, decode. The reply frame becomes
+    /// one `Bytes`; fetched values are slices of it.
+    fn call(&self, req: &Request<'_>, hist: &crayfish_obs::HistHandle) -> Result<Response> {
         let started = hist.start();
-        let payload = serde_json::to_vec(req)
-            .map_err(|e| BrokerError::Transport(format!("encode request: {e}")))?;
         let raw = self
             .transport
-            .call(&payload)
+            .call(&req.encode())
             .map_err(|e| BrokerError::Transport(e.to_string()))?;
-        let reply: BrokerReply = serde_json::from_slice(&raw)
-            .map_err(|e| BrokerError::Transport(format!("decode reply: {e}")))?;
+        let reply = wire::decode_reply(Bytes::from(raw));
         hist.observe_since(started);
-        match reply {
-            BrokerReply::Ok(resp) => Ok(resp),
-            BrokerReply::Err(e) => Err(e),
-        }
+        reply
     }
 
-    fn unexpected(resp: BrokerResponse) -> BrokerError {
+    fn unexpected(resp: Response) -> BrokerError {
         BrokerError::Transport(format!("unexpected response shape: {resp:?}"))
     }
 
-    fn expect_unit(&self, req: &BrokerRequest, hist: &crayfish_obs::HistHandle) -> Result<()> {
+    fn expect_unit(&self, req: &Request<'_>, hist: &crayfish_obs::HistHandle) -> Result<()> {
         match self.call(req, hist)? {
-            BrokerResponse::Unit => Ok(()),
+            Response::Unit => Ok(()),
             other => Err(Self::unexpected(other)),
         }
     }
 
-    fn expect_offset(&self, req: &BrokerRequest, hist: &crayfish_obs::HistHandle) -> Result<u64> {
+    fn expect_offset(&self, req: &Request<'_>, hist: &crayfish_obs::HistHandle) -> Result<u64> {
         match self.call(req, hist)? {
-            BrokerResponse::Offset(n) => Ok(n),
+            Response::Offset(n) => Ok(n),
+            other => Err(Self::unexpected(other)),
+        }
+    }
+
+    fn expect_appended(&self, req: &Request<'_>) -> Result<(u64, f64)> {
+        match self.call(req, &self.rpc_append)? {
+            Response::Appended {
+                offset,
+                append_time_ms,
+            } => Ok((offset, append_time_ms)),
             other => Err(Self::unexpected(other)),
         }
     }
@@ -574,8 +321,8 @@ impl RemoteBroker {
     /// Liveness probe: true once the served broker answers a `Ping`.
     pub fn ping(&self) -> bool {
         matches!(
-            self.call(&BrokerRequest::Ping, &self.rpc_admin),
-            Ok(BrokerResponse::Pong)
+            self.call(&Request::Ping, &self.rpc_admin),
+            Ok(Response::Pong)
         )
     }
 }
@@ -583,8 +330,8 @@ impl RemoteBroker {
 impl BrokerApi for RemoteBroker {
     fn create_topic(&self, name: &str, partitions: u32) -> Result<()> {
         self.expect_unit(
-            &BrokerRequest::CreateTopic {
-                name: name.to_string(),
+            &Request::CreateTopic {
+                name,
                 partitions,
                 retention_bytes: None,
             },
@@ -599,8 +346,8 @@ impl BrokerApi for RemoteBroker {
         retention_bytes: usize,
     ) -> Result<()> {
         self.expect_unit(
-            &BrokerRequest::CreateTopic {
-                name: name.to_string(),
+            &Request::CreateTopic {
+                name,
                 partitions,
                 retention_bytes: Some(retention_bytes as u64),
             },
@@ -609,70 +356,38 @@ impl BrokerApi for RemoteBroker {
     }
 
     fn delete_topic(&self, name: &str) -> Result<()> {
-        self.expect_unit(
-            &BrokerRequest::DeleteTopic {
-                name: name.to_string(),
-            },
-            &self.rpc_admin,
-        )
+        self.expect_unit(&Request::DeleteTopic { name }, &self.rpc_admin)
     }
 
     fn partitions(&self, topic: &str) -> Result<u32> {
-        match self.call(
-            &BrokerRequest::Partitions {
-                topic: topic.to_string(),
-            },
-            &self.rpc_admin,
-        )? {
-            BrokerResponse::Count(n) => Ok(n),
+        match self.call(&Request::Partitions { topic }, &self.rpc_admin)? {
+            Response::Count(n) => Ok(n),
             other => Err(Self::unexpected(other)),
         }
     }
 
     fn earliest_offset(&self, topic: &str, partition: u32) -> Result<u64> {
         self.expect_offset(
-            &BrokerRequest::EarliestOffset {
-                topic: topic.to_string(),
-                partition,
-            },
+            &Request::EarliestOffset { topic, partition },
             &self.rpc_admin,
         )
     }
 
     fn end_offset(&self, topic: &str, partition: u32) -> Result<u64> {
-        self.expect_offset(
-            &BrokerRequest::EndOffset {
-                topic: topic.to_string(),
-                partition,
-            },
-            &self.rpc_admin,
-        )
+        self.expect_offset(&Request::EndOffset { topic, partition }, &self.rpc_admin)
     }
 
     fn total_records(&self, topic: &str) -> Result<u64> {
-        self.expect_offset(
-            &BrokerRequest::TotalRecords {
-                topic: topic.to_string(),
-            },
-            &self.rpc_admin,
-        )
+        self.expect_offset(&Request::TotalRecords { topic }, &self.rpc_admin)
     }
 
     fn append(&self, topic: &str, partition: u32, values: Vec<(Bytes, f64)>) -> Result<(u64, f64)> {
-        match self.call(
-            &BrokerRequest::Append {
-                topic: topic.to_string(),
-                partition,
-                values: wire_values(values),
-            },
-            &self.rpc_append,
-        )? {
-            BrokerResponse::Appended {
-                offset,
-                append_time_ms,
-            } => Ok((offset, append_time_ms)),
-            other => Err(Self::unexpected(other)),
-        }
+        self.expect_appended(&Request::Append {
+            topic,
+            partition,
+            dedup: None,
+            records: Cow::Owned(values),
+        })
     }
 
     fn append_dedup(
@@ -683,22 +398,12 @@ impl BrokerApi for RemoteBroker {
         first_seq: u64,
         values: Vec<(Bytes, f64)>,
     ) -> Result<(u64, f64)> {
-        match self.call(
-            &BrokerRequest::AppendDedup {
-                topic: topic.to_string(),
-                partition,
-                producer_id,
-                first_seq,
-                values: wire_values(values),
-            },
-            &self.rpc_append,
-        )? {
-            BrokerResponse::Appended {
-                offset,
-                append_time_ms,
-            } => Ok((offset, append_time_ms)),
-            other => Err(Self::unexpected(other)),
-        }
+        self.expect_appended(&Request::Append {
+            topic,
+            partition,
+            dedup: Some((producer_id, first_seq)),
+            records: Cow::Owned(values),
+        })
     }
 
     fn read(
@@ -710,8 +415,8 @@ impl BrokerApi for RemoteBroker {
         max_bytes: usize,
     ) -> Result<Vec<FetchedRecord>> {
         match self.call(
-            &BrokerRequest::Read {
-                topic: topic.to_string(),
+            &Request::Read {
+                topic,
                 partition,
                 offset,
                 max_records: max_records as u64,
@@ -719,30 +424,23 @@ impl BrokerApi for RemoteBroker {
             },
             &self.rpc_read,
         )? {
-            BrokerResponse::Records(recs) => {
-                Ok(recs.into_iter().map(FetchedRecord::from).collect())
-            }
+            Response::Records(records) => Ok(records),
             other => Err(Self::unexpected(other)),
         }
     }
 
     fn replication_status(&self, topic: &str) -> Result<Vec<ReplicationStatus>> {
-        match self.call(
-            &BrokerRequest::ReplicationStatus {
-                topic: topic.to_string(),
-            },
-            &self.rpc_admin,
-        )? {
-            BrokerResponse::Status(status) => Ok(status),
+        match self.call(&Request::ReplicationStatus { topic }, &self.rpc_admin)? {
+            Response::Status(status) => Ok(status),
             other => Err(Self::unexpected(other)),
         }
     }
 
     fn commit_offset(&self, group: &str, topic: &str, partition: u32, next: u64) -> Result<()> {
         self.expect_unit(
-            &BrokerRequest::CommitOffset {
-                group: group.to_string(),
-                topic: topic.to_string(),
+            &Request::CommitOffset {
+                group,
+                topic,
                 partition,
                 next,
             },
@@ -752,9 +450,9 @@ impl BrokerApi for RemoteBroker {
 
     fn committed_offset(&self, group: &str, topic: &str, partition: u32) -> Result<u64> {
         self.expect_offset(
-            &BrokerRequest::CommittedOffset {
-                group: group.to_string(),
-                topic: topic.to_string(),
+            &Request::CommittedOffset {
+                group,
+                topic,
                 partition,
             },
             &self.rpc_commit,
@@ -762,54 +460,31 @@ impl BrokerApi for RemoteBroker {
     }
 
     fn group_lag(&self, group: &str, topic: &str) -> Result<u64> {
-        self.expect_offset(
-            &BrokerRequest::GroupLag {
-                group: group.to_string(),
-                topic: topic.to_string(),
-            },
-            &self.rpc_admin,
-        )
+        self.expect_offset(&Request::GroupLag { group, topic }, &self.rpc_admin)
     }
 
     fn join_group(&self, group: &str, member: &str) -> Result<u64> {
-        self.expect_offset(
-            &BrokerRequest::JoinGroup {
-                group: group.to_string(),
-                member: member.to_string(),
-            },
-            &self.rpc_admin,
-        )
+        self.expect_offset(&Request::JoinGroup { group, member }, &self.rpc_admin)
     }
 
     fn leave_group(&self, group: &str, member: &str) -> Result<()> {
-        self.expect_unit(
-            &BrokerRequest::LeaveGroup {
-                group: group.to_string(),
-                member: member.to_string(),
-            },
-            &self.rpc_admin,
-        )
+        self.expect_unit(&Request::LeaveGroup { group, member }, &self.rpc_admin)
     }
 
     fn group_generation(&self, group: &str) -> Result<u64> {
-        self.expect_offset(
-            &BrokerRequest::GroupGeneration {
-                group: group.to_string(),
-            },
-            &self.rpc_admin,
-        )
+        self.expect_offset(&Request::GroupGeneration { group }, &self.rpc_admin)
     }
 
     fn group_assignment(&self, group: &str, topic: &str, member: &str) -> Result<Vec<u32>> {
         match self.call(
-            &BrokerRequest::GroupAssignment {
-                group: group.to_string(),
-                topic: topic.to_string(),
-                member: member.to_string(),
+            &Request::GroupAssignment {
+                group,
+                topic,
+                member,
             },
             &self.rpc_admin,
         )? {
-            BrokerResponse::Assignment(parts) => Ok(parts),
+            Response::Assignment(parts) => Ok(parts),
             other => Err(Self::unexpected(other)),
         }
     }
@@ -825,24 +500,19 @@ impl BrokerApi for RemoteBroker {
         let mut pairs: Vec<(u32, u64)> = offsets.iter().map(|(&p, &n)| (p, n)).collect();
         pairs.sort_unstable();
         self.expect_unit(
-            &BrokerRequest::CommitOffsetsFenced {
-                group: group.to_string(),
-                topic: topic.to_string(),
-                member: member.to_string(),
+            &Request::CommitOffsetsFenced {
+                group,
+                topic,
+                member,
                 generation,
-                offsets: pairs,
+                offsets: Cow::Owned(pairs),
             },
             &self.rpc_commit,
         )
     }
 
     fn topic_version(&self, topic: &str) -> Result<u64> {
-        self.expect_offset(
-            &BrokerRequest::TopicVersion {
-                topic: topic.to_string(),
-            },
-            &self.rpc_poll,
-        )
+        self.expect_offset(&Request::TopicVersion { topic }, &self.rpc_poll)
     }
 
     fn wait_for_data(&self, topic: &str, seen: u64, timeout: Duration) -> Result<u64> {
@@ -853,13 +523,13 @@ impl BrokerApi for RemoteBroker {
         loop {
             let remaining = deadline.saturating_duration_since(crayfish_sim::now());
             let slice = remaining.min(CLIENT_POLL_SLICE);
-            let req = BrokerRequest::WaitForData {
-                topic: topic.to_string(),
+            let req = Request::WaitForData {
+                topic,
                 seen,
                 timeout_ms: slice.as_millis() as u64,
             };
             match self.call(&req, &self.rpc_poll) {
-                Ok(BrokerResponse::Offset(version)) => {
+                Ok(Response::Offset(version)) => {
                     if version > seen || remaining <= slice {
                         return Ok(version);
                     }
@@ -905,78 +575,15 @@ mod tests {
 
     fn remote_over_inproc(broker: Arc<Broker>) -> Arc<RemoteBroker> {
         let server: Arc<dyn BrokerApi> = broker;
-        let transport = crayfish_net::InProcTransport::new(Arc::new(move |frame: &[u8]| {
-            handle_frame(server.as_ref(), frame)
-        }));
+        let transport =
+            crayfish_net::InProcTransport::new(Arc::new(move |frame, out: &mut Vec<u8>| {
+                handle_frame(server.as_ref(), frame, out)
+            }));
         RemoteBroker::with_parts(
             Box::new(transport),
             crayfish_obs::ObsHandle::disabled(),
             crayfish_chaos::ChaosHandle::disabled(),
         )
-    }
-
-    #[test]
-    fn requests_roundtrip_the_wire_encoding() {
-        let req = BrokerRequest::AppendDedup {
-            topic: "t".into(),
-            partition: 3,
-            producer_id: 9,
-            first_seq: 42,
-            values: vec![WireValue {
-                value: vec![1, 2, 3],
-                produce_time_ms: 1.5,
-            }],
-        };
-        let bytes = serde_json::to_vec(&req).unwrap();
-        let back: BrokerRequest = serde_json::from_slice(&bytes).unwrap();
-        match back {
-            BrokerRequest::AppendDedup {
-                partition,
-                first_seq,
-                values,
-                ..
-            } => {
-                assert_eq!(partition, 3);
-                assert_eq!(first_seq, 42);
-                assert_eq!(values[0].value, vec![1, 2, 3]);
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn typed_errors_roundtrip_without_stringification() {
-        for err in [
-            BrokerError::FencedLeaderEpoch {
-                topic: "t".into(),
-                partition: 2,
-                current: 7,
-            },
-            BrokerError::NotEnoughReplicas {
-                topic: "t".into(),
-                partition: 0,
-                isr: 1,
-                min_isr: 2,
-            },
-            BrokerError::NotLeader { epoch: 3 },
-            BrokerError::UnknownTopic("gone".into()),
-            BrokerError::RebalanceInProgress { group: "g".into() },
-        ] {
-            let reply = BrokerReply::Err(err.clone());
-            let bytes = serde_json::to_vec(&reply).unwrap();
-            let back: BrokerReply = serde_json::from_slice(&bytes).unwrap();
-            match back {
-                BrokerReply::Err(e) => assert_eq!(e, err, "lossy error round-trip"),
-                BrokerReply::Ok(_) => panic!("error decoded as success"),
-            }
-            // Transience must survive the wire: remote retry policies key
-            // off the decoded variant.
-            let decoded = match serde_json::from_slice::<BrokerReply>(&bytes).unwrap() {
-                BrokerReply::Err(e) => e,
-                BrokerReply::Ok(_) => unreachable!(),
-            };
-            assert_eq!(err.is_transient(), decoded.is_transient());
-        }
     }
 
     #[test]

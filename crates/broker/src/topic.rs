@@ -29,7 +29,7 @@ pub(crate) struct StoredRecord {
 }
 
 /// One record as returned by a fetch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FetchedRecord {
     /// Partition the record came from.
     pub partition: u32,

@@ -157,6 +157,26 @@ pub fn frame_bytes(payload: &[u8]) -> Result<Vec<u8>> {
     Ok(out)
 }
 
+/// Size of the length prefix of a frame.
+pub const FRAME_PREFIX: usize = 4;
+
+/// Frame a payload where it was written: `frame` holds [`FRAME_PREFIX`]
+/// reserved bytes followed by the payload, and becomes what
+/// [`frame_bytes`] would build from that payload, without the copy.
+pub fn frame_in_place(frame: &mut [u8]) -> Result<()> {
+    let Some((prefix, payload)) = frame.split_first_chunk_mut::<FRAME_PREFIX>() else {
+        return Err(NetError::Frame("frame lacks its length prefix".into()));
+    };
+    if payload.len() > MAX_FRAME_BYTES {
+        return Err(NetError::Frame(format!(
+            "frame of {} bytes exceeds cap",
+            payload.len()
+        )));
+    }
+    *prefix = (payload.len() as u32).to_le_bytes();
+    Ok(())
+}
+
 /// Read one length-prefixed frame. Returns `None` on clean EOF at a frame
 /// boundary.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
@@ -185,6 +205,16 @@ mod tests {
         write_frame(&mut written, b"payload").unwrap();
         assert_eq!(frame_bytes(b"payload").unwrap(), written);
         assert!(frame_bytes(&vec![0u8; MAX_FRAME_BYTES + 1]).is_err());
+    }
+
+    #[test]
+    fn frame_in_place_matches_frame_bytes() {
+        let mut framed = vec![0u8; FRAME_PREFIX];
+        framed.extend_from_slice(b"payload");
+        frame_in_place(&mut framed).unwrap();
+        assert_eq!(framed, frame_bytes(b"payload").unwrap());
+        assert!(frame_in_place(&mut [0u8; 3]).is_err());
+        assert!(frame_in_place(&mut vec![0u8; FRAME_PREFIX + MAX_FRAME_BYTES + 1]).is_err());
     }
 
     #[test]

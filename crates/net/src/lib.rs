@@ -33,10 +33,14 @@ pub mod server;
 pub mod transport;
 pub mod waker;
 
-pub use codec::{frame_bytes, read_frame, write_frame, MAX_FRAME_BYTES};
+pub use codec::{
+    frame_bytes, frame_in_place, read_frame, write_frame, FRAME_PREFIX, MAX_FRAME_BYTES,
+};
 pub use reactor::{spawn_reactor_on, Responder, Wire};
 pub use server::{assemble_handle, spawn_listener_on, ServerHandle};
-pub use transport::{spawn_rpc_server, InProcTransport, RpcHandler, TcpTransport, Transport};
+pub use transport::{
+    spawn_rpc_server, InProcTransport, OversizeReply, RpcHandler, TcpTransport, Transport,
+};
 pub use waker::Waker;
 
 use std::fmt;

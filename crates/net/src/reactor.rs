@@ -259,7 +259,13 @@ fn run_reactor(
         for (&id, c) in conns.iter_mut() {
             // Promote in-order completions into the write buffer.
             while let Some(bytes) = c.pending.remove(&c.next_write) {
-                c.outbuf.extend_from_slice(&bytes);
+                if c.outbuf.is_empty() {
+                    // Nothing queued ahead of it: send the response from
+                    // the buffer it arrived in.
+                    c.outbuf = bytes;
+                } else {
+                    c.outbuf.extend_from_slice(&bytes);
+                }
                 c.next_write += 1;
                 progress = true;
             }

@@ -26,15 +26,22 @@ use crayfish_chaos::ChaosHandle;
 use crayfish_obs::{Counter, ObsHandle};
 use parking_lot::Mutex;
 
-use crate::codec::{frame_bytes, read_frame, write_frame};
+use crate::codec::{frame_in_place, read_frame, write_frame, FRAME_PREFIX, MAX_FRAME_BYTES};
 use crate::reactor::{spawn_reactor_on, Wire};
 use crate::server::ServerHandle;
 use crate::{NetError, Result};
 
-/// A service's request handler: one request payload in, one response
-/// payload out. Shared between the in-process transport (which calls it
-/// directly) and the RPC server (which calls it from worker threads).
-pub type RpcHandler = Arc<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
+/// A service's request handler: takes one request payload by value (a
+/// service may keep the allocation, e.g. store slices of it) and appends
+/// the response payload to the buffer it is given. Shared between the
+/// in-process transport (which calls it directly) and the RPC server
+/// (which calls it from worker threads and frames the buffer in place).
+pub type RpcHandler = Arc<dyn Fn(Vec<u8>, &mut Vec<u8>) + Send + Sync>;
+
+/// Appends the response a service gives when the one its handler wrote
+/// (of the given size) does not fit a frame: an error in the service's own
+/// encoding, so the client learns why instead of waiting out a timeout.
+pub type OversizeReply = fn(usize, &mut Vec<u8>);
 
 /// One request/response exchange with a service.
 pub trait Transport: Send + Sync {
@@ -63,7 +70,9 @@ impl std::fmt::Debug for InProcTransport {
 
 impl Transport for InProcTransport {
     fn call(&self, request: &[u8]) -> Result<Vec<u8>> {
-        Ok((self.handler)(request))
+        let mut response = Vec::new();
+        (self.handler)(request.to_vec(), &mut response);
+        Ok(response)
     }
 }
 
@@ -208,12 +217,16 @@ impl Transport for TcpTransport {
 /// frames, a pool of `workers` threads runs the handler (so slow or
 /// blocking RPCs — long polls, replication fan-out — do not stall the
 /// poll thread), and responses flow back through the reactor in
-/// per-connection request order.
+/// per-connection request order. A response over [`MAX_FRAME_BYTES`] is
+/// replaced by what `oversize` writes.
+///
+/// [`MAX_FRAME_BYTES`]: crate::MAX_FRAME_BYTES
 pub fn spawn_rpc_server(
     name: &'static str,
     addr: SocketAddr,
     workers: usize,
     handler: RpcHandler,
+    oversize: OversizeReply,
 ) -> Result<ServerHandle> {
     let (tx, rx) = crossbeam::channel::unbounded::<(Vec<u8>, crate::reactor::Responder)>();
     let mut pool = Vec::with_capacity(workers.max(1));
@@ -224,13 +237,20 @@ pub fn spawn_rpc_server(
             .name(format!("{name}-rpc-{i}"))
             .spawn(move || {
                 while let Ok((request, responder)) = rx.recv() {
-                    let response = handler(&request);
-                    match frame_bytes(&response) {
-                        Ok(bytes) => responder.send(bytes),
-                        // An oversized response is a service bug; dropping
-                        // the responder leaves the client to its read
-                        // timeout rather than corrupting the stream.
-                        Err(_) => drop(responder),
+                    // The handler writes behind the reserved prefix, so the
+                    // buffer it fills is the one the reactor sends.
+                    let mut frame = vec![0u8; FRAME_PREFIX];
+                    handler(request, &mut frame);
+                    let len = frame.len().saturating_sub(FRAME_PREFIX);
+                    if len > MAX_FRAME_BYTES {
+                        frame.truncate(FRAME_PREFIX);
+                        oversize(len, &mut frame);
+                    }
+                    // A stand-in that is itself oversized is a service bug:
+                    // dropping the responder leaves the client to its read
+                    // timeout rather than corrupting the stream.
+                    if frame_in_place(&mut frame).is_ok() {
+                        responder.send(frame);
                     }
                 }
             })?;
@@ -261,7 +281,11 @@ mod tests {
     use super::*;
 
     fn upper_handler() -> RpcHandler {
-        Arc::new(|req: &[u8]| req.to_ascii_uppercase())
+        Arc::new(|req: Vec<u8>, out: &mut Vec<u8>| out.extend(req.to_ascii_uppercase()))
+    }
+
+    fn too_large(len: usize, out: &mut Vec<u8>) {
+        out.extend(format!("too large: {len}").bytes());
     }
 
     #[test]
@@ -277,11 +301,37 @@ mod tests {
             SocketAddr::from(([127, 0, 0, 1], 0)),
             2,
             upper_handler(),
+            too_large,
         )
         .unwrap();
         let t = TcpTransport::new(server.addr());
         assert_eq!(t.call(b"hello").unwrap(), b"HELLO");
         assert_eq!(t.call(b"again").unwrap(), b"AGAIN");
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversize_response_is_answered_not_dropped() {
+        let handler: RpcHandler = Arc::new(|req: Vec<u8>, out: &mut Vec<u8>| {
+            if req == b"big" {
+                out.resize(out.len() + crate::MAX_FRAME_BYTES + 1, 0);
+            } else {
+                out.extend(req);
+            }
+        });
+        let server = spawn_rpc_server(
+            "oversize",
+            SocketAddr::from(([127, 0, 0, 1], 0)),
+            1,
+            handler,
+            too_large,
+        )
+        .unwrap();
+        let t = TcpTransport::new(server.addr()).with_read_timeout(Duration::from_secs(5));
+        let expected = format!("too large: {}", crate::MAX_FRAME_BYTES + 1);
+        assert_eq!(t.call(b"big").unwrap(), expected.as_bytes());
+        // The connection survives and stays in step.
+        assert_eq!(t.call(b"small").unwrap(), b"small");
         server.shutdown();
     }
 
@@ -294,6 +344,7 @@ mod tests {
                 SocketAddr::from(([127, 0, 0, 1], 0)),
                 1,
                 upper_handler(),
+                too_large,
             )
             .unwrap();
             addr = server.addr();
@@ -302,7 +353,7 @@ mod tests {
             server.shutdown();
             // The connection is severed; the next call errors but heals.
             assert!(t.call(b"two").is_err());
-            let revived = spawn_rpc_server("upper-b", addr, 1, upper_handler()).unwrap();
+            let revived = spawn_rpc_server("upper-b", addr, 1, upper_handler(), too_large).unwrap();
             assert_eq!(t.call(b"three").unwrap(), b"THREE");
             revived.shutdown();
         }
@@ -315,6 +366,7 @@ mod tests {
             SocketAddr::from(([127, 0, 0, 1], 0)),
             1,
             upper_handler(),
+            too_large,
         )
         .unwrap();
         let chaos = ChaosHandle::enabled();

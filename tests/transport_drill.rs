@@ -128,7 +128,7 @@ fn leader_failover_drill_over_inproc_transport() {
     let server: Arc<dyn BrokerApi> = backing;
     let handler: RpcHandler = {
         let b = server.clone();
-        Arc::new(move |frame: &[u8]| rpc::handle_frame(b.as_ref(), frame))
+        Arc::new(move |frame, out: &mut Vec<u8>| rpc::handle_frame(b.as_ref(), frame, out))
     };
     let client = RemoteBroker::with_parts(
         Box::new(InProcTransport::new(handler)),
