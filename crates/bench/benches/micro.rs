@@ -3,7 +3,7 @@
 //! produce/fetch round trips, and the broker's RPC frames and round trips.
 //! These are the primitives whose costs compose into every table and figure.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::borrow::Cow;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -16,7 +16,7 @@ use crayfish_broker::{
     rpc, Broker, BrokerApi, FetchedRecord, PartitionConsumer, Producer, ProducerConfig,
     RemoteBroker,
 };
-use crayfish_core::batch::CrayfishDataBatch;
+use crayfish_core::batch::{CrayfishDataBatch, ScoredBatch};
 use crayfish_models::{ffnn, tiny};
 use crayfish_runtime::exec::FusedExec;
 use crayfish_serving::protocol::{decode_tensor_binary, encode_tensor_binary};
@@ -133,17 +133,76 @@ fn bench_inference(c: &mut Criterion) {
     group.finish();
 }
 
+/// A wire payload whose values are six-decimal fractions, as `perf_suite`
+/// renders them: every token takes the scanner's exact path.
+fn six_decimal_payload(bsz: usize, item: &[usize]) -> Vec<u8> {
+    let dims: Vec<String> = item.iter().map(usize::to_string).collect();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let values: Vec<String> = (0..bsz * item.iter().product::<usize>())
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            format!("0.{:06}", (state >> 33) % 1_000_000)
+        })
+        .collect();
+    format!(
+        "{{\"id\":1,\"created_ms\":1727445623123.5,\"shape\":[{}],\"bsz\":{bsz},\"data\":[{}]}}",
+        dims.join(","),
+        values.join(",")
+    )
+    .into_bytes()
+}
+
+/// The record codec per byte, at the three record sizes of the benchmark
+/// (FFNN b1 ~7 KB, FFNN b64 ~450 KB, ResNet50 b1 ~1.35 MB): `six_decimal`
+/// is what `perf_suite` sends, `shortest` is this program's own encoder
+/// output over `[0, 255)` — 8–9 significant digits in tokens of varying
+/// length.
 fn bench_json_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("json_codec");
     group.sample_size(30);
-    let t = Tensor::seeded_uniform([1, 28, 28], 1, 0.0, 255.0);
-    let batch = CrayfishDataBatch::from_tensor(1, 0.0, &t);
-    let bytes = batch.encode().unwrap();
-    group.bench_function("encode_ffnn_point", |bench| {
-        bench.iter(|| black_box(batch.encode().unwrap()))
-    });
-    group.bench_function("decode_ffnn_point", |bench| {
-        bench.iter(|| black_box(CrayfishDataBatch::decode(black_box(&bytes)).unwrap()))
+    for (name, bsz, item) in [
+        ("ffnn_b1", 1usize, &[28usize, 28][..]),
+        ("ffnn_b64", 64, &[28, 28]),
+        ("resnet50_b1", 1, &[3, 224, 224]),
+    ] {
+        let mut dims = vec![bsz];
+        dims.extend_from_slice(item);
+        let t = Tensor::seeded_uniform(dims, 1, 0.0, 255.0);
+        let batch = CrayfishDataBatch::from_tensor(1, 0.0, &t);
+        let shortest = batch.encode().unwrap();
+        let six_decimal = six_decimal_payload(bsz, item);
+
+        for (digits, bytes) in [
+            ("six_decimal", &six_decimal[..]),
+            ("shortest", &shortest[..]),
+        ] {
+            group.throughput(Throughput::Bytes(bytes.len() as u64));
+            group.bench_function(format!("decode_{digits}_{name}"), |bench| {
+                bench.iter(|| black_box(CrayfishDataBatch::decode(black_box(bytes)).unwrap()))
+            });
+        }
+        // The engine's input half: decode, then the tensor takes the vector.
+        group.throughput(Throughput::Bytes(six_decimal.len() as u64));
+        group.bench_function(format!("decode_into_tensor_{name}"), |bench| {
+            bench.iter(|| {
+                let batch = CrayfishDataBatch::decode(black_box(&six_decimal)).unwrap();
+                black_box(batch.into_tensor().unwrap())
+            })
+        });
+        group.throughput(Throughput::Bytes(shortest.len() as u64));
+        group.bench_function(format!("encode_{name}"), |bench| {
+            bench.iter(|| black_box(batch.encode().unwrap()))
+        });
+    }
+
+    // The engine's output half on one FFNN b64 result.
+    let input = CrayfishDataBatch::from_tensor(1, 0.0, &Tensor::zeros([64, 1]));
+    let scores = Tensor::seeded_uniform([64, 10], 2, 0.0, 1.0);
+    group.throughput(Throughput::Elements(scores.numel() as u64));
+    group.bench_function("encode_scored_ffnn_b64", |bench| {
+        bench.iter(|| black_box(ScoredBatch::from_output(&input, &scores).encode().unwrap()))
     });
     group.finish();
 }

@@ -131,6 +131,13 @@ pub trait BrokerApi: Send + Sync + std::fmt::Debug {
     /// request. Remote brokers return [`NetworkModel::zero`]: their cost is
     /// the real wire.
     fn network(&self) -> NetworkModel;
+
+    /// Whether a request to this broker is a round trip over a transport
+    /// rather than a function call. Clients use it to decide what is worth
+    /// saving requests for ([`crate::Producer::send_deferred`]).
+    fn is_remote(&self) -> bool {
+        false
+    }
 }
 
 impl BrokerApi for Broker {

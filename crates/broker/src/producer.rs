@@ -57,6 +57,9 @@ static NEXT_PRODUCER_ID: AtomicU64 = AtomicU64::new(1);
 struct AccState {
     queue: Vec<(u32, Bytes, f64)>,
     queued_bytes: usize,
+    /// Something asked for the queue to be shipped (`send`, `flush`);
+    /// records queued by `send_deferred` alone leave it unset.
+    ship: bool,
     in_flight: bool,
     closed: bool,
 }
@@ -116,6 +119,27 @@ impl Producer {
     /// Queue one record. `partition = None` round-robins across partitions.
     /// The record's produce timestamp is taken now.
     pub fn send(&mut self, partition: Option<u32>, value: Bytes) -> Result<()> {
+        self.enqueue(partition, value, true)
+    }
+
+    /// Queue one record like [`Producer::send`] but, where a request is a
+    /// round trip ([`BrokerApi::is_remote`]), do not ask for it to be
+    /// shipped: it goes out with whatever asks next — a `send`, the
+    /// [`Producer::flush`] that ends the caller's cycle, or the close. For
+    /// callers that flush after every bounded cycle anyway: the cycle's
+    /// output goes out as one request per partition, where waking the
+    /// sender per record cuts it into however many requests the scheduler
+    /// happens to interleave (one to twenty for 500 records, each a round
+    /// trip per partition, and a different number on every run). In process
+    /// an append is a function call: handing each record over at once costs
+    /// nothing per request and lets the sender append while the caller
+    /// scores, so there this is `send`.
+    pub fn send_deferred(&mut self, partition: Option<u32>, value: Bytes) -> Result<()> {
+        let wake = !self.inner.broker.is_remote();
+        self.enqueue(partition, value, wake)
+    }
+
+    fn enqueue(&mut self, partition: Option<u32>, value: Bytes, wake: bool) -> Result<()> {
         let partition = match partition {
             Some(p) if p < self.inner.partitions => p,
             Some(p) => {
@@ -136,13 +160,21 @@ impl Producer {
         }
         state.queued_bytes += value.len();
         state.queue.push((partition, value, now_millis_f64()));
-        self.inner.wake.notify_one();
+        if wake {
+            state.ship = true;
+            self.inner.wake.notify_one();
+        }
         Ok(())
     }
 
     /// Block until everything queued so far has been appended to the broker.
     pub fn flush(&self) {
         let mut state = self.inner.state.lock();
+        if !state.queue.is_empty() {
+            // Deferred records wait for this.
+            state.ship = true;
+            self.inner.wake.notify_one();
+        }
         while !state.queue.is_empty() || state.in_flight {
             state = self.inner.drained.wait(state);
         }
@@ -185,7 +217,7 @@ fn sender_loop(inner: &Inner) {
     loop {
         let batch = {
             let mut state = inner.state.lock();
-            while state.queue.is_empty() && !state.closed {
+            while (state.queue.is_empty() || !state.ship) && !state.closed {
                 state = inner.wake.wait(state);
             }
             if state.queue.is_empty() && state.closed {
@@ -211,6 +243,8 @@ fn sender_loop(inner: &Inner) {
             }
             let batch: Vec<(u32, Bytes, f64)> = state.queue.drain(..n).collect();
             state.queued_bytes = state.queued_bytes.saturating_sub(bytes);
+            // What a request cap left behind still has to go.
+            state.ship = !state.queue.is_empty();
             state.in_flight = true;
             batch
         };
@@ -292,6 +326,19 @@ mod tests {
         assert_eq!(b.end_offset("t", 0).unwrap(), 10);
         let recs = b.read("t", 0, 0, 100, usize::MAX).unwrap();
         assert_eq!(recs[3].value[0], 3);
+    }
+
+    #[test]
+    fn deferred_sends_are_plain_sends_in_process() {
+        let (b, mut p) = setup(2);
+        for i in 0..10u8 {
+            p.send_deferred(None, Bytes::from(vec![i])).unwrap();
+        }
+        // No flush: an append here is a function call, nothing to save.
+        assert!(crayfish_chaos::testkit::poll_until(
+            Duration::from_secs(5),
+            || b.total_records("t").unwrap() == 10
+        ));
     }
 
     #[test]

@@ -560,6 +560,10 @@ impl BrokerApi for RemoteBroker {
         // The wire is real; no modelled hop on top.
         NetworkModel::zero()
     }
+
+    fn is_remote(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]
@@ -629,6 +633,37 @@ mod tests {
         }
         consumer.commit();
         assert_eq!(local.group_lag("g", "t").unwrap(), 0);
+    }
+
+    #[test]
+    fn deferred_sends_ship_as_one_request_at_the_flush() {
+        let local = local();
+        local.create_topic("t", 4).unwrap();
+        let obs = crayfish_obs::ObsHandle::enabled();
+        let server: Arc<dyn BrokerApi> = local.clone();
+        let transport =
+            crayfish_net::InProcTransport::new(Arc::new(move |frame, out: &mut Vec<u8>| {
+                handle_frame(server.as_ref(), frame, out)
+            }));
+        let remote = RemoteBroker::with_parts(
+            Box::new(transport),
+            obs.clone(),
+            crayfish_chaos::ChaosHandle::disabled(),
+        );
+        let mut p = Producer::new(remote, "t", ProducerConfig::default()).unwrap();
+        for i in 0..100u8 {
+            p.send_deferred(None, Bytes::from(vec![i])).unwrap();
+        }
+        // Nothing asked for them yet: the records are still queued.
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(local.total_records("t").unwrap(), 0);
+        p.flush();
+        assert_eq!(local.total_records("t").unwrap(), 100);
+        assert_eq!(obs.counter("broker_append_requests").get(), 1);
+        // A close ships what a caller deferred and never flushed.
+        p.send_deferred(Some(0), Bytes::from_static(b"x")).unwrap();
+        p.close().unwrap();
+        assert_eq!(local.total_records("t").unwrap(), 101);
     }
 
     #[test]

@@ -110,7 +110,7 @@ impl Dataset {
         }
         let data = raw
             .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
+            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect();
         Ok(Dataset {
             shape,

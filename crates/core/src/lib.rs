@@ -50,7 +50,7 @@ pub use crayfish_chaos as chaos;
 /// `RUSTFLAGS="--cfg loom"`.
 pub use crayfish_sync as sync;
 
-pub use batch::{CrayfishDataBatch, ScoredBatch};
+pub use batch::{BatchHeader, CrayfishDataBatch, ScoredBatch};
 pub use config::ExperimentConfig;
 pub use crayfish_broker::ClusterConfig;
 pub use crayfish_obs::{ObsHandle, Stage};

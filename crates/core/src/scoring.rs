@@ -179,13 +179,13 @@ pub fn score_payload_obs(
     payload: &[u8],
     obs: &crate::obs::ObsHandle,
 ) -> Result<bytes::Bytes> {
-    let (batch, input) = crate::batch::decode_input_obs(payload, obs)?;
+    let (header, input) = crate::batch::decode_input_obs(payload, obs)?;
 
     let span = obs.timer(scorer.obs_stage());
     let output = scorer.score(&input)?;
     span.stop();
 
-    crate::batch::encode_output_obs(&batch, &output, obs)
+    crate::batch::encode_output_obs(header, output, obs)
 }
 
 #[cfg(test)]

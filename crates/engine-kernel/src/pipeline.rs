@@ -128,10 +128,16 @@ pub fn pipeline_workers(
             }
             let producer = Producer::new(broker.clone(), &output, ProducerConfig::default())?;
             let scorer = spec.build()?;
+            let sink = ProducerSink::new(producer, &obs);
             Ok(PipelineWorker {
                 consumer,
                 score: ScoreStage::replay(scorer, &obs),
-                sink: ProducerSink::new(producer, &obs),
+                // A cycle that ends in a flush hands its output over once.
+                sink: if settings.flush_before_commit {
+                    sink.flushed_per_cycle()
+                } else {
+                    sink
+                },
             })
         })?;
         let obs = ctx.obs().clone();

@@ -100,6 +100,8 @@ pub struct ProducerSink {
     obs: ObsHandle,
     records_out: Counter,
     emit_cost: Cost,
+    /// Emit with [`Producer::send_deferred`]: the owner flushes every cycle.
+    flushed_per_cycle: bool,
 }
 
 impl ProducerSink {
@@ -117,7 +119,17 @@ impl ProducerSink {
             obs: obs.clone(),
             records_out: obs.counter("records_out"),
             emit_cost,
+            flushed_per_cycle: false,
         }
+    }
+
+    /// For an owner that calls [`ProducerSink::flush`] after every poll
+    /// cycle: over a remote broker the emitted records wait in the producer
+    /// and go out together at the flush, one request per output partition
+    /// and cycle ([`Producer::send_deferred`]).
+    pub fn flushed_per_cycle(mut self) -> Self {
+        self.flushed_per_cycle = true;
+        self
     }
 
     /// Emit one scored payload. [`SinkClosed`] means the output topic is
@@ -126,7 +138,11 @@ impl ProducerSink {
         let bytes = payload.len();
         let span = self.obs.timer(Stage::Emit);
         self.emit_cost.spend(bytes);
-        let sent = self.producer.send(None, payload);
+        let sent = if self.flushed_per_cycle {
+            self.producer.send_deferred(None, payload)
+        } else {
+            self.producer.send(None, payload)
+        };
         span.stop();
         if sent.is_err() {
             return Err(SinkClosed);

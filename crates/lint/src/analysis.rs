@@ -20,7 +20,8 @@
 //!   sans timeout, `sleep`, `join`, blocking `recv`, `park`, connect)
 //!   reachable from the net reactor's poll thread.
 //! * **panic-reachability** — `unwrap`/`expect`/`panic!` reachable from
-//!   engine-kernel worker entry points, broker RPC handlers, or the
+//!   engine-kernel worker entry points, the scoring body they share
+//!   (`crayfish-core`), broker RPC handlers, or the
 //!   multi-process binaries (this replaces the old prefix-list scoped
 //!   `unwrap-in-pipeline` rule with actual reachability).
 //!
@@ -645,6 +646,9 @@ fn panic_entry(f: &FnItem) -> bool {
             f.name.as_str(),
             "dispatch" | "handle_frame" | "handle" | "serve"
         ),
+        // Calls resolve within a crate, so the scoring body every worker
+        // above funnels into is an entry of its own.
+        "core" => f.name == "score_payload_obs",
         "crayfish" => f.rel.starts_with("src/bin/") && f.name == "main",
         _ => false,
     }

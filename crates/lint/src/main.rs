@@ -24,8 +24,8 @@
 //! * `blocking-in-reactor` — no unbounded blocking call reachable from the
 //!   net reactor's poll thread.
 //! * `panic-reachability` — no `unwrap`/`expect`/`panic!` reachable from
-//!   engine-kernel worker entry points, broker RPC handlers, or the
-//!   deployment binaries.
+//!   engine-kernel worker entry points, the scoring body they share
+//!   (`crayfish-core`), broker RPC handlers, or the deployment binaries.
 //!
 //! Findings can be suppressed in-source with
 //! `// crayfish-lint: allow(<rule>) -- <reason>`; a suppression without a

@@ -15,7 +15,12 @@
 //! offline), so the reactor approximates readiness with non-blocking
 //! sockets plus a short timed wait on a [`Waker`]: any completed response
 //! or newly accepted connection wakes it immediately; otherwise it wakes
-//! every `PARK` to poll for client bytes. That keeps the idle cost bounded
+//! every `PARK` to poll for client bytes. A loop that has just made
+//! progress does not park at once: for `LINGER` it keeps polling, yielding
+//! the processor between polls, so a peer in the middle of an exchange —
+//! its next request a few microseconds behind the response it just read,
+//! or a large frame that fills the socket buffer — is served at once and
+//! not one timer later. That keeps the idle cost bounded
 //! while the hot path — under load the loop always finds work and never
 //! sleeps — stays allocation-free: the `poll_*` functions reuse
 //! per-connection buffers and are covered by the `HOT_PATH_ALLOC` lint.
@@ -27,7 +32,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -39,6 +44,17 @@ use crate::Result;
 /// Idle poll interval. An upper bound on wakeup latency, never the only
 /// wakeup path: completions and new connections wake the reactor directly.
 const PARK: Duration = Duration::from_micros(100);
+
+/// How long after its last progress the loop keeps polling (yielding the
+/// processor between polls) before it parks. Without it, whether the next
+/// request of a request/response exchange meets a parked reactor is decided
+/// by which of the two threads the scheduler runs first after the response
+/// is written: an RPC costs ~20 us or ~180 us, and a whole exchange (a
+/// consumer's eight reads, its eight commits) flips between the two from
+/// one run to the next. One park interval covers a client's turnaround,
+/// score of a small record included, and bounds the extra polling to what
+/// one park costs anyway; an idle reactor never lingers.
+const LINGER: Duration = PARK;
 
 /// Cap on unparsed buffered bytes before a connection is declared
 /// malformed (an HTTP peer that never finishes its headers, say).
@@ -226,6 +242,8 @@ fn run_reactor(
 ) {
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut scratch = [0u8; READ_CHUNK];
+    // When the loop last made progress, while it is still inside `LINGER`.
+    let mut last_progress: Option<Instant> = None;
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             // Connections were (or will be) severed by the handle; any
@@ -320,7 +338,14 @@ fn run_reactor(
             progress = true;
         }
 
-        if !progress {
+        if progress {
+            last_progress = Some(crayfish_sim::now());
+        } else if last_progress.is_some_and(|at| at.elapsed() < LINGER) {
+            // Let the peer run if it shares this processor; on a free
+            // processor this returns at once and the loop polls hot.
+            std::thread::yield_now();
+        } else {
+            last_progress = None;
             shared.completions.waker.wait_timeout(PARK);
         }
     }
