@@ -21,9 +21,11 @@ use crayfish_models::{ffnn, tiny};
 use crayfish_runtime::exec::FusedExec;
 use crayfish_serving::protocol::{decode_tensor_binary, encode_tensor_binary};
 use crayfish_sim::NetworkModel;
-use crayfish_tensor::kernels::conv::{conv2d_im2col, Conv2dParams};
+use crayfish_tensor::kernels::conv::{
+    conv2d_im2col_into, conv2d_prepacked_into, Conv2dParams, ConvEpilogue,
+};
 use crayfish_tensor::kernels::gemm::{gemm, gemm_ipj, gemm_prepacked_b, gemm_st};
-use crayfish_tensor::{GemmScratch, PackedB, Tensor};
+use crayfish_tensor::{GemmScratch, PackedA, PackedB, Tensor};
 
 fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm");
@@ -101,10 +103,12 @@ fn bench_conv(c: &mut Criterion) {
     };
     let input = Tensor::seeded_uniform([1, 128, 28, 28], 1, -1.0, 1.0);
     let weight = Tensor::seeded_uniform([128, 128, 3, 3], 2, -0.1, 0.1);
+    let mut out = vec![0.0f32; 128 * 28 * 28];
+    // The materialised-`im2col` oracle (unpacked weights, `col` matrix)...
     group.bench_function("resnet_layer2_3x3", |bench| {
-        let mut scratch = Vec::new();
+        let mut col = Vec::new();
         bench.iter(|| {
-            black_box(conv2d_im2col(
+            conv2d_im2col_into(
                 black_box(input.data()),
                 1,
                 28,
@@ -112,8 +116,31 @@ fn bench_conv(c: &mut Criterion) {
                 weight.data(),
                 &[],
                 &p,
+                &mut col,
+                &mut out,
+            );
+            black_box(&mut out);
+        })
+    });
+    // ...and the production path: prepacked weights, `B` blocks packed from
+    // the image.
+    group.bench_function("resnet_layer2_3x3_implicit", |bench| {
+        let packed = PackedA::pack(weight.data(), p.out_c, p.krows());
+        let mut scratch = GemmScratch::new();
+        bench.iter(|| {
+            conv2d_prepacked_into(
+                black_box(input.data()),
+                1,
+                28,
+                28,
+                &packed,
+                &[],
+                &p,
+                ConvEpilogue::default(),
+                &mut out,
                 &mut scratch,
-            ))
+            );
+            black_box(&mut out);
         })
     });
     group.finish();

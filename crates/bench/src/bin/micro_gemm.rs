@@ -37,6 +37,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
+use crayfish_bench::{cpu_model, git_revision, rustc_version};
 use crayfish_sim::Stopwatch;
 use crayfish_tensor::kernels::gemm::{
     gemm_ipj, gemm_prepacked_b, gemm_prepacked_b16, gemm_prepacked_qb, gemm_st,
@@ -168,57 +169,6 @@ fn json_escape_free(s: &str) -> &str {
     s
 }
 
-/// The checked-out git revision, read straight from `.git` (no `git`
-/// subprocess): `HEAD` either holds a hash or points at a ref file.
-fn git_revision() -> String {
-    let find_git = || {
-        let mut dir = std::env::current_dir().ok()?;
-        loop {
-            let git = dir.join(".git");
-            if git.is_dir() {
-                return Some(git);
-            }
-            if !dir.pop() {
-                return None;
-            }
-        }
-    };
-    let Some(git) = find_git() else {
-        return "unknown".into();
-    };
-    let Ok(head) = std::fs::read_to_string(git.join("HEAD")) else {
-        return "unknown".into();
-    };
-    let head = head.trim();
-    if let Some(refname) = head.strip_prefix("ref: ") {
-        if let Ok(hash) = std::fs::read_to_string(git.join(refname)) {
-            return hash.trim().to_string();
-        }
-        // Packed refs: scan for the ref name.
-        if let Ok(packed) = std::fs::read_to_string(git.join("packed-refs")) {
-            for line in packed.lines() {
-                if let Some(hash) = line.strip_suffix(refname) {
-                    return hash.trim().to_string();
-                }
-            }
-        }
-        return "unknown".into();
-    }
-    head.to_string()
-}
-
-/// `rustc -V`, or "unknown" when the toolchain is not on PATH.
-fn rustc_version() -> String {
-    std::process::Command::new("rustc")
-        .arg("-V")
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|v| v.trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let window = if quick { 0.05 } else { 0.5 };
@@ -226,15 +176,7 @@ fn main() {
     let crayfish_threads = std::env::var("CRAYFISH_THREADS").unwrap_or_else(|_| "unset".into());
     let git_rev = git_revision();
     let rustc = rustc_version();
-    let cpu = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|v| v.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".into());
+    let cpu = cpu_model();
     let pool2 = ThreadPool::new(2);
     let pool4 = ThreadPool::new(4);
 

@@ -238,15 +238,7 @@ fn main() {
     };
     let sweep = if quick { QUICK_SWEEP } else { SWEEP };
     let threads_available = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let cpu = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|v| v.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".into());
+    let cpu = crayfish_bench::cpu_model();
 
     let modes = [
         Mode {

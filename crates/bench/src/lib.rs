@@ -304,6 +304,70 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
+/// The checked-out git revision, read straight from `.git` (no `git`
+/// subprocess): `HEAD` either holds a hash or points at a ref file.
+pub fn git_revision() -> String {
+    let find_git = || {
+        let mut dir = std::env::current_dir().ok()?;
+        loop {
+            let git = dir.join(".git");
+            if git.is_dir() {
+                return Some(git);
+            }
+            if !dir.pop() {
+                return None;
+            }
+        }
+    };
+    let Some(git) = find_git() else {
+        return "unknown".into();
+    };
+    let Ok(head) = std::fs::read_to_string(git.join("HEAD")) else {
+        return "unknown".into();
+    };
+    let head = head.trim();
+    if let Some(refname) = head.strip_prefix("ref: ") {
+        if let Ok(hash) = std::fs::read_to_string(git.join(refname)) {
+            return hash.trim().to_string();
+        }
+        // Packed refs: scan for the ref name.
+        if let Ok(packed) = std::fs::read_to_string(git.join("packed-refs")) {
+            for line in packed.lines() {
+                if let Some(hash) = line.strip_suffix(refname) {
+                    return hash.trim().to_string();
+                }
+            }
+        }
+        return "unknown".into();
+    }
+    head.to_string()
+}
+
+/// `rustc -V`, or "unknown" when the toolchain is not on PATH.
+pub fn rustc_version() -> String {
+    std::process::Command::new("rustc")
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|v| v.trim().to_string())
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// The CPU's model name from `/proc/cpuinfo`, or "unknown".
+pub fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|v| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
 /// Format a throughput cell.
 pub fn eps(v: f64) -> String {
     format!("{v:.1}")

@@ -132,26 +132,45 @@ impl Builder {
 
 /// Build ResNet50 with weights seeded from `seed`.
 pub fn build(seed: u64) -> NnGraph {
+    build_scaled("resnet50", seed, INPUT_SHAPE[1], 64, &STAGES, CLASSES)
+}
+
+/// ResNet50's structure at another size: the 7×7/2 stem (`stem_c` filters)
+/// and 3×3/2 max-pool over a `3 × side × side` input, then one stage of
+/// bottleneck blocks per `(blocks, width)` entry — the first block of a
+/// stage projects its shortcut (and, from the second stage on, strides by
+/// 2), the others are identity blocks — global average pooling and a
+/// `classes`-way classifier. Tests use it to put every fusion rule and
+/// every convolution geometry of the real model into a graph that runs in
+/// milliseconds.
+pub fn build_scaled(
+    name: &str,
+    seed: u64,
+    side: usize,
+    stem_c: usize,
+    stages: &[(usize, usize)],
+    classes: usize,
+) -> NnGraph {
     let mut b = Builder {
-        g: NnGraph::new("resnet50"),
+        g: NnGraph::new(name),
         seed,
     };
     let input = b.g.add(
         "input",
         Op::Input {
-            shape: Shape::from(INPUT_SHAPE),
+            shape: Shape::from([INPUT_SHAPE[0], side, side]),
         },
         vec![],
     );
     // Stem.
-    let c = b.conv("stem.conv", input, 3, 64, 7, 2, 3);
-    let n = b.bn("stem.bn", c, 64);
+    let c = b.conv("stem.conv", input, INPUT_SHAPE[0], stem_c, 7, 2, 3);
+    let n = b.bn("stem.bn", c, stem_c);
     let r = b.relu("stem.relu", n);
     let mut x =
         b.g.add("stem.maxpool", Op::MaxPool { k: 3, s: 2, pad: 1 }, vec![r]);
     // Stages.
-    let mut in_c = 64;
-    for (stage, &(blocks, width)) in STAGES.iter().enumerate() {
+    let mut in_c = stem_c;
+    for (stage, &(blocks, width)) in stages.iter().enumerate() {
         for block in 0..blocks {
             let stride = if stage > 0 && block == 0 { 2 } else { 1 };
             x = b.bottleneck(
@@ -167,8 +186,8 @@ pub fn build(seed: u64) -> NnGraph {
     // Head.
     let gap = b.g.add("gap", Op::GlobalAvgPool, vec![x]);
     let seed_fc = b.next_seed();
-    let w = Arc::new(Tensor::seeded_he([in_c, CLASSES], seed_fc, in_c));
-    let bias = Arc::new(Tensor::zeros([CLASSES]));
+    let w = Arc::new(Tensor::seeded_he([in_c, classes], seed_fc, in_c));
+    let bias = Arc::new(Tensor::zeros([classes]));
     let fc = b.g.add("fc", Op::Dense { w, b: bias }, vec![gap]);
     b.g.add("softmax", Op::Softmax, vec![fc]);
     b.g
@@ -234,6 +253,17 @@ mod tests {
             .unwrap()
             .id;
         assert_eq!(shapes[last_relu].dims(), &[1, 2048, 7, 7]);
+    }
+
+    #[test]
+    fn scaled_build_keeps_the_block_structure() {
+        // One projection block, one identity block, one strided projection.
+        let g = build_scaled("resnet-mini", 1, 32, 8, &[(2, 8), (1, 16)], 10);
+        assert_eq!(g.output_shape(2).unwrap().dims(), &[2, 10]);
+        let count = |f: fn(&Op) -> bool| g.nodes().iter().filter(|n| f(&n.op)).count();
+        assert_eq!(count(|op| matches!(op, Op::Add)), 3);
+        // 1 stem + 3 blocks * 3 + 2 downsample projections.
+        assert_eq!(count(|op| matches!(op, Op::Conv2d { .. })), 12);
     }
 
     #[test]

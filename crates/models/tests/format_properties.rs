@@ -8,7 +8,8 @@ use proptest::prelude::*;
 
 use crayfish_models::formats::{decode, encode, sniff};
 use crayfish_models::ModelFormat;
-use crayfish_tensor::{NnGraph, Op, Shape, Tensor};
+use crayfish_tensor::kernels::conv::Conv2dParams;
+use crayfish_tensor::{NnGraph, Op, Shape, Tensor, TensorError};
 
 /// Build a random MLP from a layer-width specification.
 fn random_mlp(widths: &[usize], seed: u64) -> NnGraph {
@@ -79,6 +80,71 @@ fn forward(g: &NnGraph, input: &Tensor) -> Vec<f32> {
         outputs.push(value);
     }
     outputs[g.output()].clone()
+}
+
+/// `input [2, 6, 6]` → one window op, as a careless exporter might write it.
+fn one_window_op(op: Op) -> NnGraph {
+    let mut g = NnGraph::new("window");
+    let input = g.add(
+        "input",
+        Op::Input {
+            shape: Shape::from([2, 6, 6]),
+        },
+        vec![],
+    );
+    g.add("window", op, vec![input]);
+    g
+}
+
+fn conv_op(kernel: usize, stride: usize, pad: usize) -> Op {
+    Op::Conv2d {
+        w: Arc::new(Tensor::zeros([3, 2, kernel, kernel])),
+        b: None,
+        params: Conv2dParams {
+            in_c: 2,
+            out_c: 3,
+            kernel,
+            stride,
+            pad,
+        },
+    }
+}
+
+/// Every format decodes a convolution or max-pool with a zero stride, a zero
+/// kernel or a window larger than the padded input (they describe layers,
+/// they do not judge them). Shape inference — the validator every executor
+/// runs at load — must answer with a graph error: it used to divide by zero
+/// or wrap around and abort on the allocation that followed.
+#[test]
+fn window_geometry_without_output_is_a_graph_error_in_every_format() {
+    let cases = [
+        ("conv stride 0", conv_op(3, 0, 1)),
+        ("conv kernel 0", conv_op(0, 1, 0)),
+        ("conv window > input", conv_op(9, 1, 1)),
+        ("pool stride 0", Op::MaxPool { k: 2, s: 0, pad: 0 }),
+        ("pool kernel 0", Op::MaxPool { k: 0, s: 1, pad: 0 }),
+        ("pool window > input", Op::MaxPool { k: 7, s: 2, pad: 0 }),
+    ];
+    for (what, op) in cases {
+        let g = one_window_op(op);
+        for format in ModelFormat::ALL {
+            let bytes = encode(&g, format).unwrap();
+            let back =
+                decode(&bytes).unwrap_or_else(|e| panic!("{what} in {}: {e}", format.name()));
+            match back.infer_shapes(1) {
+                Err(TensorError::Graph(msg)) => assert!(msg.contains("window"), "{what}: {msg}"),
+                other => panic!(
+                    "{what} in {}: expected a graph error, got {other:?}",
+                    format.name()
+                ),
+            }
+        }
+    }
+    // The same layers with a sound geometry pass.
+    for op in [conv_op(3, 2, 1), Op::MaxPool { k: 3, s: 2, pad: 1 }] {
+        let bytes = encode(&one_window_op(op), ModelFormat::Onnx).unwrap();
+        assert!(decode(&bytes).unwrap().infer_shapes(4).is_ok());
+    }
 }
 
 proptest! {

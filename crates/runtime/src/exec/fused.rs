@@ -7,22 +7,36 @@
 //!   an entire pass over the activation.
 //! * **ReLU fusion** — a ReLU that solely consumes a conv/dense/add/bn step
 //!   is applied in that step's output loop instead of a separate pass.
+//! * **Add folding** — a residual `Add` whose later-scheduled operand is a
+//!   convolution nobody else reads (conv3 of an identity block, the
+//!   downsample conv of a projection block) becomes that convolution's
+//!   residual operand: the other operand is added inside the convolution,
+//!   over each column block of the output while it is still in cache, the
+//!   ReLU behind the `Add` follows it there, and the `Add` step and its
+//!   output buffer disappear. The rule is: both
+//!   operands distinct steps, the later one a `Conv` with no fused ReLU and
+//!   no residual yet, and the node feeding the `Add` from it has no other
+//!   consumer. An `Add` that does not qualify stays a step — one pass,
+//!   `relu?(a + b)`. Once a convolution carries a residual or a ReLU,
+//!   nothing more is folded into its *weights* (a batch-norm behind it
+//!   scales the sum, not the convolution).
 //! * **Weight pre-packing** — conv and dense weight matrices are packed
 //!   into the blocked GEMM's strip layout once, here, so steady-state
 //!   inference performs zero weight packing (conv weights as [`PackedA`],
 //!   dense weights as [`PackedB`]; batch-norm folding rescales the packed
 //!   panels in place).
-//! * **Arena reuse** — per-step output buffers, the `im2col` scratch, and
-//!   the GEMM packing scratch are allocated once and reused across calls,
-//!   so the steady-state hot path does not touch the allocator.
+//! * **Arena reuse** — per-step output buffers and the GEMM packing
+//!   scratch (one `KC × NC` block for a convolution, whatever its size) are
+//!   allocated once and reused across calls, so the steady-state hot path
+//!   does not touch the allocator.
 //!
 //! These are the real optimisations ONNX Runtime's graph optimiser performs,
 //! and they are why the paper measures ONNX as the fastest embedded option.
 
-use crayfish_tensor::kernels::conv::{conv2d_dispatch_into, Conv2dParams};
+use crayfish_tensor::kernels::conv::{conv2d_dispatch_into, Conv2dParams, ConvEpilogue};
 use crayfish_tensor::kernels::gemm::dense_dispatch_into;
 use crayfish_tensor::kernels::quant::amax;
-use crayfish_tensor::kernels::{activation, add_inplace, pool};
+use crayfish_tensor::kernels::{activation, add_into, pool};
 use crayfish_tensor::{
     ConvWeights, DenseWeights, GemmScratch, NnGraph, Op, PackedA, PackedA16, PackedB, PackedB16,
     QuantizedA, QuantizedB, Shape, Tensor,
@@ -43,6 +57,9 @@ enum FusedOp {
         w: ConvWeights,
         bias: Vec<f32>,
         params: Conv2dParams,
+        /// A folded `Add`: the step's second input is added to the output
+        /// inside the convolution (before `relu`).
+        residual: bool,
         relu: bool,
     },
     Dense {
@@ -73,9 +90,17 @@ enum FusedOp {
 }
 
 impl FusedOp {
-    /// Whether this step launches a compute kernel (used by the GPU model).
-    fn is_kernel(&self) -> bool {
-        !matches!(self, FusedOp::Input | FusedOp::Flatten)
+    /// Compute kernels this step launches on a GPU (the simulated device's
+    /// cost model counts them). A convolution carrying a residual still
+    /// counts as the two launches it was compiled from: folding the `Add`
+    /// is a CPU cache optimisation, and the calibrated GPU profile was
+    /// fitted with the `Add` as a kernel of its own.
+    fn launches(&self) -> usize {
+        match self {
+            FusedOp::Input | FusedOp::Flatten => 0,
+            FusedOp::Conv { residual: true, .. } => 2,
+            _ => 1,
+        }
     }
 }
 
@@ -95,6 +120,31 @@ struct Step {
     item_shape: Shape,
 }
 
+/// One compiled step as [`FusedExec::step_infos`] describes it (shapes are
+/// per batch item).
+#[derive(Debug, Clone)]
+pub struct StepInfo {
+    /// The graph node the step was compiled from (the convolution, for a
+    /// step that folded a batch-norm, an `Add` or a ReLU into it).
+    pub name: String,
+    /// `"conv"`, `"dense"`, `"maxpool"`, `"gap"`, `"add"`, `"batchnorm"`,
+    /// `"relu"`, `"softmax"`, `"input"` or `"flatten"`.
+    pub kind: &'static str,
+    /// A convolution's geometry and weight precision (`"f32"` / `"f16"` /
+    /// `"int8"`).
+    pub conv: Option<(Conv2dParams, &'static str)>,
+    /// The step is a convolution that adds its second input (a folded `Add`).
+    pub residual: bool,
+    /// A ReLU was fused into the step.
+    pub relu: bool,
+    /// Weight and bias elements the step reads.
+    pub weight_elems: usize,
+    /// Shapes of the step's inputs.
+    pub in_shapes: Vec<Shape>,
+    /// Shape of the step's output.
+    pub out_shape: Shape,
+}
+
 /// The compiled, arena-backed executor.
 #[derive(Debug)]
 pub struct FusedExec {
@@ -103,7 +153,6 @@ pub struct FusedExec {
     input_shape: Shape,
     per_item_flops: u64,
     buffers: Vec<Vec<f32>>,
-    col_scratch: Vec<f32>,
     gemm_scratch: GemmScratch,
     report: PrecisionReport,
 }
@@ -162,11 +211,12 @@ impl FusedExec {
                 }
                 Op::Conv2d { w, b, params } => {
                     let bias = b.as_ref().map(|t| t.data().to_vec()).unwrap_or_default();
-                    let krows = params.in_c * params.kernel * params.kernel;
+                    let packed = PackedA::pack(w.data(), params.out_c, params.krows());
                     let op = FusedOp::Conv {
-                        w: ConvWeights::F32(PackedA::pack(w.data(), params.out_c, krows)),
+                        w: ConvWeights::F32(packed),
                         bias,
                         params: *params,
+                        residual: false,
                         relu: false,
                     };
                     map.push(push(
@@ -197,8 +247,17 @@ impl FusedExec {
                     let (scale, shift) = params.fold();
                     let producer = node.inputs[0];
                     let target = map[producer];
+                    // A conv that already adds a residual or clamps cannot
+                    // take the scale into its weights any more.
                     let foldable = consumers[producer] == 1
-                        && matches!(steps[target].op, FusedOp::Conv { .. });
+                        && matches!(
+                            steps[target].op,
+                            FusedOp::Conv {
+                                residual: false,
+                                relu: false,
+                                ..
+                            }
+                        );
                     if foldable {
                         // Fold into the convolution's weights and bias. The
                         // plan is always built at f32 first (quantization is
@@ -293,13 +352,40 @@ impl FusedExec {
                     ));
                 }
                 Op::Add => {
-                    map.push(push(
-                        &mut steps,
-                        node.name.clone(),
-                        FusedOp::Add { relu: false },
-                        step_inputs,
-                        item_shape,
-                    ));
+                    // Fold into whichever operand is scheduled later, when
+                    // that is a convolution only this node reads (see the
+                    // module docs); its other operand is then already there.
+                    let (later, earlier) = if step_inputs[0] > step_inputs[1] {
+                        (0, 1)
+                    } else {
+                        (1, 0)
+                    };
+                    let target = step_inputs[later];
+                    let foldable = target != step_inputs[earlier]
+                        && consumers[node.inputs[later]] == 1
+                        && matches!(
+                            steps[target].op,
+                            FusedOp::Conv {
+                                residual: false,
+                                relu: false,
+                                ..
+                            }
+                        );
+                    if foldable {
+                        if let FusedOp::Conv { residual, .. } = &mut steps[target].op {
+                            *residual = true;
+                        }
+                        steps[target].inputs.push(step_inputs[earlier]);
+                        map.push(target);
+                    } else {
+                        map.push(push(
+                            &mut steps,
+                            node.name.clone(),
+                            FusedOp::Add { relu: false },
+                            step_inputs,
+                            item_shape,
+                        ));
+                    }
                 }
                 Op::Flatten => {
                     map.push(push(
@@ -330,7 +416,6 @@ impl FusedExec {
             input_shape,
             per_item_flops,
             buffers: (0..n).map(|_| Vec::new()).collect(),
-            col_scratch: Vec::new(),
             gemm_scratch: GemmScratch::new(),
             report: PrecisionReport::default(),
         })
@@ -355,14 +440,17 @@ impl FusedExec {
 
         for si in 0..self.steps.len() {
             let step = &self.steps[si];
-            let oracle = &self.buffers[si];
             let out_len = batch * step.item_shape.numel();
             let mut candidate = vec![0.0f32; out_len];
+            // The f32 output to compare against when it is not the step's
+            // buffer as the calibration pass left it.
+            let mut reference: Option<Vec<f32>> = None;
             let (kind, name, replacement) = match &step.op {
                 FusedOp::Conv {
                     w: ConvWeights::F32(pa),
                     bias,
                     params,
+                    residual,
                     relu,
                 } => {
                     let raw = pa.unpack();
@@ -374,20 +462,32 @@ impl FusedExec {
                         Precision::F32 => unreachable!("quantize_plan is gated on != F32"),
                     };
                     let in_shape = &self.steps[step.inputs[0]].item_shape;
-                    conv2d_dispatch_into(
-                        &self.buffers[step.inputs[0]],
-                        batch,
-                        in_shape.dim(1),
-                        in_shape.dim(2),
-                        &cand,
-                        bias,
-                        params,
-                        &mut self.col_scratch,
-                        &mut candidate,
-                        &mut self.gemm_scratch,
-                    );
-                    if *relu {
-                        activation::relu_inplace(&mut candidate);
+                    // A residual-carrying conv is gated on the convolution
+                    // alone (bias only, as when the `Add` was its own step):
+                    // the residual would inflate the oracle's magnitude and
+                    // loosen the relative-error gate.
+                    let epilogue = ConvEpilogue {
+                        residual: None,
+                        relu: *relu && !*residual,
+                    };
+                    let mut conv_only = |w: &ConvWeights, out: &mut [f32]| {
+                        conv2d_dispatch_into(
+                            &self.buffers[step.inputs[0]],
+                            batch,
+                            in_shape.dim(1),
+                            in_shape.dim(2),
+                            w,
+                            bias,
+                            params,
+                            epilogue,
+                            out,
+                            &mut self.gemm_scratch,
+                        )
+                    };
+                    conv_only(&cand, &mut candidate);
+                    if *residual {
+                        let f32_weights = ConvWeights::F32(pa.clone());
+                        conv_only(&f32_weights, reference.insert(vec![0.0f32; out_len]));
                     }
                     ("conv", step.name.clone(), StepWeights::Conv(cand))
                 }
@@ -421,6 +521,7 @@ impl FusedExec {
                 _ => continue,
             };
 
+            let oracle = reference.as_ref().unwrap_or(&self.buffers[si]);
             let max_abs_err = candidate
                 .iter()
                 .zip(oracle)
@@ -462,12 +563,16 @@ impl FusedExec {
             .iter()
             .map(|b| (b.as_ptr() as usize, b.capacity()))
             .collect();
-        fp.push((
-            self.col_scratch.as_ptr() as usize,
-            self.col_scratch.capacity(),
-        ));
         fp.extend(self.gemm_scratch.fingerprint());
         fp
+    }
+
+    /// Capacity, in floats, of the packed-activation scratch — what the
+    /// largest convolution so far needed (one `KC × NC` block at most on the
+    /// single-threaded path).
+    #[doc(hidden)]
+    pub fn conv_scratch_capacity(&self) -> usize {
+        self.gemm_scratch.packed_b_capacity()
     }
 
     /// Number of compiled steps (after fusion).
@@ -475,9 +580,61 @@ impl FusedExec {
         self.steps.len()
     }
 
-    /// Number of compute-kernel steps — the launches a GPU would perform.
+    /// Number of compute kernels — the launches a GPU would perform.
     pub fn kernel_count(&self) -> usize {
-        self.steps.iter().filter(|s| s.op.is_kernel()).count()
+        self.steps.iter().map(|s| s.op.launches()).sum()
+    }
+
+    /// What each compiled step is, in execution order — the key to the
+    /// indices [`FusedExec::run_with`] reports.
+    pub fn step_infos(&self) -> Vec<StepInfo> {
+        self.steps
+            .iter()
+            .map(|step| {
+                let (kind, conv, residual, relu, weight_elems) = match &step.op {
+                    FusedOp::Input => ("input", None, false, false, 0),
+                    FusedOp::Conv {
+                        w,
+                        bias,
+                        params,
+                        residual,
+                        relu,
+                    } => (
+                        "conv",
+                        Some((*params, w.precision_name())),
+                        *residual,
+                        *relu,
+                        w.out_c() * w.krows() + bias.len(),
+                    ),
+                    FusedOp::Dense { w, bias, relu, .. } => {
+                        ("dense", None, false, *relu, w.inf() * w.outf() + bias.len())
+                    }
+                    FusedOp::BatchNorm { scale, relu, .. } => {
+                        ("batchnorm", None, false, *relu, 2 * scale.len())
+                    }
+                    FusedOp::MaxPool { .. } => ("maxpool", None, false, false, 0),
+                    FusedOp::Gap => ("gap", None, false, false, 0),
+                    FusedOp::Add { relu } => ("add", None, false, *relu, 0),
+                    FusedOp::Flatten => ("flatten", None, false, false, 0),
+                    FusedOp::Relu => ("relu", None, false, false, 0),
+                    FusedOp::Softmax => ("softmax", None, false, false, 0),
+                };
+                StepInfo {
+                    name: step.name.clone(),
+                    kind,
+                    conv,
+                    residual,
+                    relu,
+                    weight_elems,
+                    in_shapes: step
+                        .inputs
+                        .iter()
+                        .map(|&i| self.steps[i].item_shape.clone())
+                        .collect(),
+                    out_shape: step.item_shape.clone(),
+                }
+            })
+            .collect()
     }
 
     /// Forward FLOPs per batch item.
@@ -497,6 +654,19 @@ impl FusedExec {
 
     /// Run a forward pass over a `[batch, ..input]` tensor.
     pub fn run(&mut self, input: &Tensor) -> Result<Tensor> {
+        self.run_with(input, |_| {})
+    }
+
+    /// [`FusedExec::run`], calling `after_step(i)` as soon as compiled step
+    /// `i` (an index into [`FusedExec::step_infos`]) has written its output
+    /// — the per-layer profiling hook. The observer reads its own clock, so
+    /// the executor has none: with the no-op closure `run` passes, the hook
+    /// compiles away.
+    pub fn run_with(
+        &mut self,
+        input: &Tensor,
+        mut after_step: impl FnMut(usize),
+    ) -> Result<Tensor> {
         let batch = check_batched_input(input, &self.input_shape)?;
         for si in 0..self.steps.len() {
             let (before, rest) = self.buffers.split_at_mut(si);
@@ -517,11 +687,16 @@ impl FusedExec {
                     w,
                     bias,
                     params,
+                    residual,
                     relu,
                 } => {
                     let s = in_item(0);
                     let (h, wd) = (s.dim(1), s.dim(2));
                     out.resize(out_numel, 0.0);
+                    let epilogue = ConvEpilogue {
+                        residual: residual.then(|| in_buf(1)),
+                        relu: *relu,
+                    };
                     conv2d_dispatch_into(
                         in_buf(0),
                         batch,
@@ -530,13 +705,10 @@ impl FusedExec {
                         w,
                         bias,
                         params,
-                        &mut self.col_scratch,
+                        epilogue,
                         out,
                         &mut self.gemm_scratch,
                     );
-                    if *relu {
-                        activation::relu_inplace(out);
-                    }
                 }
                 FusedOp::Dense {
                     w,
@@ -591,12 +763,8 @@ impl FusedExec {
                     pool::avgpool_global_into(in_buf(0), batch, s.dim(0), s.dim(1), s.dim(2), out);
                 }
                 FusedOp::Add { relu } => {
-                    out.clear();
-                    out.extend_from_slice(in_buf(0));
-                    add_inplace(out, in_buf(1));
-                    if *relu {
-                        activation::relu_inplace(out);
-                    }
+                    out.resize(out_numel, 0.0);
+                    add_into(in_buf(0), in_buf(1), out, *relu);
                 }
                 FusedOp::Flatten => {
                     out.clear();
@@ -615,6 +783,7 @@ impl FusedExec {
                 }
             }
             debug_assert_eq!(out.len(), out_numel, "step {} output size", step.name);
+            after_step(si);
         }
 
         let out_step = &self.steps[self.output_step];

@@ -3,8 +3,9 @@
 //! * [`unfused`] — walks the graph node by node, one kernel per op. This is
 //!   what a direct binding (SavedModel, DL4J) executes.
 //! * [`fused`] — compiles the graph at load time: batch-norm folded into the
-//!   preceding convolution, ReLU fused into producer kernels, buffers and
-//!   `im2col` scratch reused across calls. This is the ONNX-Runtime-style
+//!   preceding convolution, ReLU and residual `Add` fused into producer
+//!   kernels, buffers and packing scratch reused across calls. This is the
+//!   ONNX-Runtime-style
 //!   optimised path (also used by the simulated TensorFlow Serving).
 //! * [`gpu`] — the simulated accelerator: wall time follows the
 //!   [`crate::device::GpuSpec`] cost model.
@@ -13,7 +14,7 @@ pub mod fused;
 pub mod gpu;
 pub mod unfused;
 
-pub use fused::FusedExec;
+pub use fused::{FusedExec, StepInfo};
 pub use gpu::GpuExec;
 pub use unfused::UnfusedExec;
 

@@ -5,8 +5,8 @@ use std::time::Duration;
 use crayfish_sim::Cost;
 use crayfish_tensor::kernels::quant::amax;
 use crayfish_tensor::kernels::{
-    activation, add_inplace,
-    conv::{conv2d_direct, conv2d_dispatch_into},
+    activation, add_into,
+    conv::{conv2d_direct_into, conv2d_dispatch_into, ConvEpilogue},
     gemm::dense_dispatch_into,
     norm, pool,
 };
@@ -61,8 +61,8 @@ pub struct UnfusedExec {
     graph: NnGraph,
     input_shape: Shape,
     reuse_buffers: bool,
-    /// Use the textbook sliding-window convolution instead of
-    /// `im2col`+GEMM — the "eager kernels without off-the-shelf CPU
+    /// Use the textbook sliding-window convolution instead of the
+    /// GEMM-backed one — the "eager kernels without off-the-shelf CPU
     /// optimisations" the paper blames for TorchServe's deficit (§5.1.1).
     naive_conv: bool,
     jni: Option<JniBoundary>,
@@ -70,7 +70,6 @@ pub struct UnfusedExec {
     buffers: Vec<Vec<f32>>,
     /// Cached shape inference for the last-seen batch size.
     shapes: Option<(usize, Vec<Shape>)>,
-    col_scratch: Vec<f32>,
     /// Per-node pre-packed weights (indexed by node id).
     packs: Vec<NodePack>,
     gemm_scratch: GemmScratch,
@@ -83,23 +82,22 @@ impl UnfusedExec {
         graph.infer_shapes(1)?;
         let input_shape = graph.input_shape()?;
         let n = graph.nodes().len();
-        let packs = graph
-            .nodes()
-            .iter()
-            .map(|node| match &node.op {
-                Op::Dense { w, .. } => NodePack::Dense(DenseWeights::F32(PackedB::pack(
-                    w.data(),
-                    w.shape().dim(0),
-                    w.shape().dim(1),
-                ))),
-                Op::Conv2d { w, params, .. } => NodePack::Conv(ConvWeights::F32(PackedA::pack(
-                    w.data(),
-                    params.out_c,
-                    params.in_c * params.kernel * params.kernel,
-                ))),
-                _ => NodePack::None,
-            })
-            .collect();
+        let packs =
+            graph
+                .nodes()
+                .iter()
+                .map(|node| match &node.op {
+                    Op::Dense { w, .. } => NodePack::Dense(DenseWeights::F32(PackedB::pack(
+                        w.data(),
+                        w.shape().dim(0),
+                        w.shape().dim(1),
+                    ))),
+                    Op::Conv2d { w, params, .. } => NodePack::Conv(ConvWeights::F32(
+                        PackedA::pack(w.data(), params.out_c, params.krows()),
+                    )),
+                    _ => NodePack::None,
+                })
+                .collect();
         Ok(UnfusedExec {
             graph,
             input_shape,
@@ -108,7 +106,6 @@ impl UnfusedExec {
             jni,
             buffers: (0..n).map(|_| Vec::new()).collect(),
             shapes: None,
-            col_scratch: Vec::new(),
             packs,
             gemm_scratch: GemmScratch::new(),
             report: PrecisionReport::default(),
@@ -183,7 +180,7 @@ impl UnfusedExec {
                     ("dense", CandPack::Dense(cand, tmp))
                 }
                 Op::Conv2d { w, b, params } => {
-                    let krows = params.in_c * params.kernel * params.kernel;
+                    let krows = params.krows();
                     let cand = match cfg.precision {
                         Precision::Int8 => {
                             ConvWeights::Int8(QuantizedA::from_f32(w.data(), params.out_c, krows))
@@ -204,7 +201,7 @@ impl UnfusedExec {
                         &cand,
                         bias,
                         params,
-                        &mut self.col_scratch,
+                        ConvEpilogue::default(),
                         &mut tmp,
                         &mut self.gemm_scratch,
                     );
@@ -250,10 +247,6 @@ impl UnfusedExec {
             .iter()
             .map(|b| (b.as_ptr() as usize, b.capacity()))
             .collect();
-        fp.push((
-            self.col_scratch.as_ptr() as usize,
-            self.col_scratch.capacity(),
-        ));
         fp.extend(self.gemm_scratch.fingerprint());
         fp
     }
@@ -281,7 +274,6 @@ impl UnfusedExec {
             for b in &mut self.buffers {
                 *b = Vec::new();
             }
-            self.col_scratch = Vec::new();
         }
 
         for node in self.graph.nodes() {
@@ -323,13 +315,21 @@ impl UnfusedExec {
                     let NodePack::Dense(pw) = &self.packs[node.id] else {
                         unreachable!("dense node packed at build time");
                     };
-                    dense_dispatch_into(in_buf(0), pw, b.data(), batch, out, &mut self.gemm_scratch);
+                    dense_dispatch_into(
+                        in_buf(0),
+                        pw,
+                        b.data(),
+                        batch,
+                        out,
+                        &mut self.gemm_scratch,
+                    );
                 }
                 Op::Conv2d { w, b, params } => {
                     let s = in_shape(0);
                     let bias: &[f32] = b.as_ref().map(|t| t.data()).unwrap_or(&[]);
+                    out.resize(out_numel, 0.0);
                     if self.naive_conv {
-                        *out = conv2d_direct(
+                        conv2d_direct_into(
                             in_buf(0),
                             batch,
                             s.dim(2),
@@ -337,12 +337,14 @@ impl UnfusedExec {
                             w.data(),
                             bias,
                             params,
+                            out,
                         );
                     } else {
                         let NodePack::Conv(pw) = &self.packs[node.id] else {
                             unreachable!("conv node packed at build time");
                         };
-                        out.resize(out_numel, 0.0);
+                        // One kernel per node: bias only, the `Add` and the
+                        // ReLU behind it stay nodes of their own.
                         conv2d_dispatch_into(
                             in_buf(0),
                             batch,
@@ -351,7 +353,7 @@ impl UnfusedExec {
                             pw,
                             bias,
                             params,
-                            &mut self.col_scratch,
+                            ConvEpilogue::default(),
                             out,
                             &mut self.gemm_scratch,
                         );
@@ -390,9 +392,8 @@ impl UnfusedExec {
                     pool::avgpool_global_into(in_buf(0), batch, s.dim(1), s.dim(2), s.dim(3), out);
                 }
                 Op::Add => {
-                    out.clear();
-                    out.extend_from_slice(in_buf(0));
-                    add_inplace(out, in_buf(1));
+                    out.resize(out_numel, 0.0);
+                    add_into(in_buf(0), in_buf(1), out, false);
                 }
                 Op::Flatten => {
                     out.clear();

@@ -203,6 +203,39 @@ mod tests {
     }
 
     #[test]
+    fn a_model_file_with_a_zero_stride_is_refused_not_fatal() {
+        // `load_bytes` promises a `Result`; a stride-0 convolution used to
+        // divide by zero inside shape inference instead.
+        use crayfish_tensor::kernels::conv::Conv2dParams;
+        use crayfish_tensor::{Op, Shape};
+        use std::sync::Arc;
+        let mut g = NnGraph::new("stride0");
+        let input = g.add(
+            "input",
+            Op::Input {
+                shape: Shape::from([1, 4, 4]),
+            },
+            vec![],
+        );
+        let params = Conv2dParams {
+            in_c: 1,
+            out_c: 1,
+            kernel: 3,
+            stride: 0,
+            pad: 1,
+        };
+        let w = Arc::new(Tensor::zeros([1, 1, 3, 3]));
+        g.add("conv", Op::Conv2d { w, b: None, params }, vec![input]);
+        for lib in EmbeddedLib::ALL {
+            let rt = lib.runtime();
+            let bytes = formats::encode(&g, rt.expected_format()).unwrap();
+            for device in [Device::Cpu, Device::gpu()] {
+                assert!(rt.load_bytes(&bytes, device).is_err(), "{}", lib.name());
+            }
+        }
+    }
+
+    #[test]
     fn runtimes_agree_at_reduced_precision() {
         use crate::precision::Precision;
         let g = tiny::tiny_cnn(5);

@@ -4,7 +4,7 @@
 //! embedded Torch), but the execution engine behind the TorchServe external
 //! server: eager kernels with none of the off-the-shelf CPU optimisations
 //! the paper credits for TF-Serving's 3× edge (§5.1.1). Convolutions run
-//! the direct sliding-window kernel instead of `im2col`+GEMM.
+//! the direct sliding-window kernel instead of the GEMM-backed one.
 
 use crayfish_models::ModelFormat;
 use crayfish_tensor::NnGraph;

@@ -95,6 +95,102 @@ fn random_cnn(channels: usize, hw: usize, classes: usize, seed: u64) -> NnGraph 
     g
 }
 
+/// ResNet50's block structure at test size: a projection block, an
+/// identity block and a strided projection block behind the 7×7 stem.
+fn mini_resnet(seed: u64) -> NnGraph {
+    crayfish_models::resnet::build_scaled("resnet-mini", seed, 32, 8, &[(2, 8), (1, 16)], 10)
+}
+
+/// Both kinds of ResNet block fold their `Add` into the later convolution
+/// (conv3 of the identity block, the downsample conv of the projection
+/// blocks) — and the fused plan still computes what the unfused one does.
+#[test]
+fn resnet_blocks_fold_their_adds_into_the_later_convolution() {
+    let g = mini_resnet(11);
+    let mut fused = FusedExec::new(&g).unwrap();
+    let mut unfused = UnfusedExec::new(g.clone(), true, None).unwrap();
+
+    let steps = fused.step_infos();
+    assert!(steps.iter().all(|s| s.kind != "add"), "an Add survived");
+    let residual: Vec<&str> = steps
+        .iter()
+        .filter(|s| s.residual)
+        .map(|s| s.name.as_str())
+        .collect();
+    assert_eq!(
+        residual,
+        [
+            "layer1.0.downsample",
+            "layer1.1.conv3",
+            "layer2.0.downsample"
+        ]
+    );
+    assert!(steps.iter().filter(|s| s.residual).all(|s| s.relu));
+    // input, stem conv, max-pool, 4 + 3 + 4 convolutions, gap, fc, softmax:
+    // every batch-norm, ReLU and Add of the 42-node graph is gone.
+    assert_eq!(fused.step_count(), 17);
+    // A GPU would still launch the Adds: 12 convolutions + 3 adds + pool,
+    // gap, dense, softmax.
+    assert_eq!(fused.kernel_count(), 19);
+
+    for batch in [1usize, 2] {
+        let input = Tensor::seeded_uniform([batch, 3, 32, 32], batch as u64, -1.0, 1.0);
+        let a = fused.run(&input).unwrap();
+        let b = unfused.run(&input).unwrap();
+        assert!(a.max_abs_diff(&b).unwrap() < 1e-4);
+    }
+}
+
+/// An `Add` whose convolution operand is read by someone else keeps its own
+/// step: folding would hand the second reader the sum.
+#[test]
+fn an_add_is_not_folded_into_a_convolution_with_another_consumer() {
+    let conv = |g: &mut NnGraph, name: &str, x, in_c, seed| {
+        let params = Conv2dParams {
+            in_c,
+            out_c: 4,
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let w = Arc::new(Tensor::seeded_uniform([4, in_c, 3, 3], seed, -0.3, 0.3));
+        g.add(name, Op::Conv2d { w, b: None, params }, vec![x])
+    };
+    let mut g = NnGraph::new("shared-conv");
+    let input = g.add(
+        "input",
+        Op::Input {
+            shape: Shape::from([3, 6, 6]),
+        },
+        vec![],
+    );
+    let c1 = conv(&mut g, "conv1", input, 3, 1);
+    let c2 = conv(&mut g, "conv2", c1, 4, 2);
+    let sum = g.add("sum", Op::Add, vec![c2, c1]);
+    // conv2 feeds `sum` and, again, `again`.
+    g.add("again", Op::Add, vec![sum, c2]);
+
+    let mut fused = FusedExec::new(&g).unwrap();
+    let steps = fused.step_infos();
+    assert_eq!(steps.iter().filter(|s| s.kind == "add").count(), 2);
+    assert!(steps.iter().all(|s| !s.residual));
+    let mut unfused = UnfusedExec::new(g, true, None).unwrap();
+    let input = Tensor::seeded_uniform([2, 3, 6, 6], 3, -1.0, 1.0);
+    let (a, b) = (fused.run(&input).unwrap(), unfused.run(&input).unwrap());
+    assert!(a.max_abs_diff(&b).unwrap() < 1e-4);
+}
+
+/// The simulated GPU charges one launch per compiled kernel, and its
+/// profile was calibrated against ResNet50's count with every `Add` a
+/// launch of its own. Folding the adds on the CPU must not move it:
+/// 53 convolutions + 16 adds + max-pool, gap, fc, softmax.
+#[test]
+fn resnet50_kernel_count_is_what_the_gpu_profile_was_calibrated_with() {
+    let plan = FusedExec::new(&crayfish_models::resnet::build(1)).unwrap();
+    assert_eq!(plan.kernel_count(), 73);
+    assert!(plan.step_infos().iter().all(|s| s.kind != "add"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use crate::error::TensorError;
-use crate::kernels::conv::Conv2dParams;
+use crate::kernels::conv::{window_out, Conv2dParams};
 use crate::kernels::norm::BnParams;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -252,6 +252,20 @@ impl NnGraph {
             Ok(())
         };
         let input = |i: usize| -> &Shape { &shapes[node.inputs[i]] };
+        // Output extents of a sliding window, or why the geometry has none.
+        let window = |h: usize, w: usize, k: usize, s: usize, pad: usize| {
+            window_out(h, k, s, pad)
+                .zip(window_out(w, k, s, pad))
+                .ok_or_else(|| {
+                    TensorError::Graph(format!(
+                        "node {} ({}): kernel {k}, stride {s}, pad {pad} has no output over a \
+                         {h}x{w} input (kernel and stride must be non-zero and the window no \
+                         larger than the padded input)",
+                        node.name,
+                        node.op.kind()
+                    ))
+                })
+        };
         match &node.op {
             Op::Input { shape } => {
                 arity(0)?;
@@ -279,7 +293,7 @@ impl NnGraph {
                 }
                 Ok(Shape::from([in_shape.dim(0), outf]))
             }
-            Op::Conv2d { w, params, .. } => {
+            Op::Conv2d { w, b, params } => {
                 arity(1)?;
                 let s = input(0);
                 if s.rank() != 4 {
@@ -289,14 +303,34 @@ impl NnGraph {
                         actual: s.rank(),
                     });
                 }
-                if s.dim(1) != params.in_c || w.shape().dim(0) != params.out_c {
+                // The kernels index the weight as `[out_c, in_c·k·k]` rows and
+                // the bias per output channel.
+                let w_dims = [params.out_c, params.in_c, params.kernel, params.kernel];
+                if w.shape().dims() != w_dims {
+                    return Err(TensorError::Graph(format!(
+                        "conv2d {}: weight shape {} is not [out_c, in_c, k, k] = {}",
+                        node.name,
+                        w.shape(),
+                        Shape::from(w_dims)
+                    )));
+                }
+                if b.as_ref()
+                    .is_some_and(|b| b.shape().dims() != [params.out_c])
+                {
+                    return Err(TensorError::Graph(format!(
+                        "conv2d {}: bias is not [out_c] = [{}]",
+                        node.name, params.out_c
+                    )));
+                }
+                if s.dim(1) != params.in_c {
                     return Err(TensorError::ShapeMismatch {
                         op: "conv2d",
                         expected: Shape::from([s.dim(0), params.in_c, s.dim(2), s.dim(3)]),
                         actual: s.clone(),
                     });
                 }
-                let (oh, ow) = params.out_hw(s.dim(2), s.dim(3));
+                let (oh, ow) =
+                    window(s.dim(2), s.dim(3), params.kernel, params.stride, params.pad)?;
                 Ok(Shape::from([s.dim(0), params.out_c, oh, ow]))
             }
             Op::BatchNorm { params } => {
@@ -325,8 +359,7 @@ impl NnGraph {
                         actual: sh.rank(),
                     });
                 }
-                let oh = (sh.dim(2) + 2 * pad - k) / s + 1;
-                let ow = (sh.dim(3) + 2 * pad - k) / s + 1;
+                let (oh, ow) = window(sh.dim(2), sh.dim(3), *k, *s, *pad)?;
                 Ok(Shape::from([sh.dim(0), sh.dim(1), oh, ow]))
             }
             Op::GlobalAvgPool => {
@@ -453,6 +486,85 @@ mod tests {
     fn forward_references_panic() {
         let mut g = NnGraph::new("bad");
         g.add("relu", Op::Relu, vec![3]);
+    }
+
+    /// `input [3, h, w]` → one conv with the given weight/bias/params.
+    fn one_conv(hw: usize, w: Tensor, b: Option<Tensor>, params: Conv2dParams) -> NnGraph {
+        let mut g = NnGraph::new("conv");
+        let input = g.add(
+            "input",
+            Op::Input {
+                shape: Shape::from([3, hw, hw]),
+            },
+            vec![],
+        );
+        g.add(
+            "conv",
+            Op::Conv2d {
+                w: Arc::new(w),
+                b: b.map(Arc::new),
+                params,
+            },
+            vec![input],
+        );
+        g
+    }
+
+    #[test]
+    fn conv_geometry_is_a_checked_precondition() {
+        let ok = Conv2dParams {
+            in_c: 3,
+            out_c: 4,
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        };
+        assert!(one_conv(8, Tensor::zeros([4, 3, 3, 3]), None, ok)
+            .infer_shapes(1)
+            .is_ok());
+        let graph_err = |g: NnGraph| match g.infer_shapes(1) {
+            Err(TensorError::Graph(msg)) => msg,
+            other => panic!("expected a graph error, got {other:?}"),
+        };
+        // Zero stride used to divide by zero inside shape inference.
+        let p = Conv2dParams { stride: 0, ..ok };
+        assert!(graph_err(one_conv(8, Tensor::zeros([4, 3, 3, 3]), None, p)).contains("stride 0"));
+        // Zero kernel.
+        let p = Conv2dParams { kernel: 0, ..ok };
+        assert!(graph_err(one_conv(8, Tensor::zeros([4, 3, 0, 0]), None, p)).contains("kernel 0"));
+        // Window larger than the padded input used to wrap around.
+        let p = Conv2dParams {
+            kernel: 7,
+            pad: 0,
+            ..ok
+        };
+        graph_err(one_conv(4, Tensor::zeros([4, 3, 7, 7]), None, p));
+        // Weight that is not [out_c, in_c, k, k] (same element count).
+        assert!(
+            graph_err(one_conv(8, Tensor::zeros([4, 9, 3, 1]), None, ok)).contains("weight shape")
+        );
+        // Bias that is not [out_c].
+        let bias = Some(Tensor::zeros([5]));
+        assert!(graph_err(one_conv(8, Tensor::zeros([4, 3, 3, 3]), bias, ok)).contains("bias"));
+    }
+
+    #[test]
+    fn pool_geometry_is_a_checked_precondition() {
+        for (k, s, pad) in [(2usize, 0usize, 0usize), (0, 1, 0), (5, 1, 0)] {
+            let mut g = NnGraph::new("pool");
+            let a = g.add(
+                "input",
+                Op::Input {
+                    shape: Shape::from([2, 4, 4]),
+                },
+                vec![],
+            );
+            g.add("pool", Op::MaxPool { k, s, pad }, vec![a]);
+            assert!(
+                matches!(g.infer_shapes(1), Err(TensorError::Graph(_))),
+                "k={k} s={s} pad={pad}"
+            );
+        }
     }
 
     #[test]

@@ -126,6 +126,61 @@ pub fn store_tile_add(
     }
 }
 
+/// What the convolution driver's tile store does besides accumulating,
+/// decided by where the K block sits in the accumulation (see
+/// [`store_tile_epilogue`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TileEpilogue<'a> {
+    /// `Some(bias)` on the first K block: the tile is written as
+    /// `acc + bias[row]` (an empty slice is a zero bias) instead of being
+    /// added onto whatever `C` held — there is no prefill pass.
+    pub first: Option<&'a [f32]>,
+    /// Clamp negatives to zero on the way out (last K block only).
+    pub relu: bool,
+}
+
+/// [`store_tile_add`] with the convolution epilogue folded in. The order of
+/// operations per element is exactly that of the separate passes it
+/// replaces — `bias + acc₀`, `+ acc₁ …`, clamp — so the result is
+/// bit-identical to prefill, accumulate, `relu_inplace`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // mirrors store_tile_add plus the epilogue descriptor
+pub(crate) fn store_tile_epilogue(
+    acc: &[[f32; NR]; MR],
+    c: &mut [f32],
+    ldc: usize,
+    row0: usize,
+    col0: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+    epi: TileEpilogue<'_>,
+) {
+    for (i, row) in acc.iter().enumerate().take(mr_eff) {
+        let base = (row0 + i) * ldc + col0;
+        let c_row = &mut c[base..base + nr_eff];
+        match epi.first {
+            Some(bias) => {
+                let bv = bias.get(row0 + i).copied().unwrap_or(0.0);
+                for (slot, &v) in c_row.iter_mut().zip(row.iter()) {
+                    *slot = v + bv;
+                }
+            }
+            None => {
+                for (slot, &v) in c_row.iter_mut().zip(row.iter()) {
+                    *slot += v;
+                }
+            }
+        }
+        if epi.relu {
+            for slot in c_row.iter_mut() {
+                if *slot < 0.0 {
+                    *slot = 0.0;
+                }
+            }
+        }
+    }
+}
+
 /// Rows per int8 microkernel tile (see [`q8_microkernel`]).
 pub const QMR: usize = 4;
 
@@ -209,7 +264,11 @@ pub fn store_tile_dequant(
     for (i, row) in acc.iter().enumerate().take(mr_eff) {
         let si = sa[row0 + i];
         let base = (row0 + i) * ldc + col0;
-        for (j, (slot, &v)) in c[base..base + nr_eff].iter_mut().zip(row.iter()).enumerate() {
+        for (j, (slot, &v)) in c[base..base + nr_eff]
+            .iter_mut()
+            .zip(row.iter())
+            .enumerate()
+        {
             *slot += v as f32 * si * sb[col0 + j];
         }
     }

@@ -6,7 +6,7 @@
 //! IR ([`graph::NnGraph`]) that the model runtimes in `crayfish-runtime`
 //! execute with different strategies (fused/unfused, CPU/simulated GPU).
 //!
-//! Everything here is *real* computation — matrix multiplies, `im2col`
+//! Everything here is *real* computation — matrix multiplies, implicit-GEMM
 //! convolutions, batch normalisation. Matrix multiplication runs through a
 //! packed, cache-blocked, register-tiled kernel
 //! ([`kernels::microkernel`]); by default it stays on one intra-op thread,

@@ -435,7 +435,7 @@ impl DenseWeights {
 }
 
 /// Reusable packing scratch for the per-call GEMM operands (activations,
-/// `im2col` matrices). Holds its buffers across calls so steady-state
+/// convolution `B` blocks). Holds its buffers across calls so steady-state
 /// inference does not allocate.
 #[derive(Debug, Default)]
 pub struct GemmScratch {
@@ -445,6 +445,19 @@ pub struct GemmScratch {
     qa: Vec<i16>,
     /// Per-channel activation scales for the int8 path.
     qs: Vec<f32>,
+    /// The `im2col` matrix of the int8 convolution — the one arm that still
+    /// materialises it (it quantizes whole patches with a per-tensor scale).
+    col: Vec<f32>,
+}
+
+/// `v[..len]`, growing `v` first when it is shorter. The buffers only ever
+/// grow: a call that needs less leaves the tail alone, so alternating
+/// between layer sizes does not re-zero the difference each time.
+fn grown(v: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if v.len() < len {
+        v.resize(len, 0.0);
+    }
+    &mut v[..len]
 }
 
 impl GemmScratch {
@@ -456,17 +469,38 @@ impl GemmScratch {
     /// allocation when capacity suffices. Between GEMM calls the `Arc` is
     /// unique, so `make_mut` never clones on the steady-state path.
     pub(crate) fn pa_mut(&mut self, len: usize) -> &mut [f32] {
-        let v = Arc::make_mut(&mut self.pa);
-        v.resize(len, 0.0);
-        &mut v[..]
+        grown(Arc::make_mut(&mut self.pa), len)
     }
 
     /// Borrow the `B`-side buffer at exactly `len` elements (see
     /// [`GemmScratch::pa_mut`]).
     pub(crate) fn pb_mut(&mut self, len: usize) -> &mut [f32] {
-        let v = Arc::make_mut(&mut self.pb);
-        v.resize(len, 0.0);
-        &mut v[..]
+        grown(Arc::make_mut(&mut self.pb), len)
+    }
+
+    /// The `A`-side buffer as last filled, together with the `B`-side
+    /// buffer at `pb_len` elements — one method so the convolution driver
+    /// can read expanded f16 weights while it packs `B` blocks.
+    pub(crate) fn pa_and_pb_mut(&mut self, pb_len: usize) -> (&[f32], &mut [f32]) {
+        (&self.pa[..], grown(Arc::make_mut(&mut self.pb), pb_len))
+    }
+
+    /// Take the int8 convolution's `im2col` buffer out (hand it back with
+    /// [`GemmScratch::put_col`]); moving it sidesteps borrowing the scratch
+    /// twice and allocates nothing.
+    pub(crate) fn take_col(&mut self) -> Vec<f32> {
+        std::mem::take(&mut self.col)
+    }
+
+    /// Return the buffer taken by [`GemmScratch::take_col`].
+    pub(crate) fn put_col(&mut self, col: Vec<f32>) {
+        self.col = col;
+    }
+
+    /// Capacity, in floats, of the `B`-side buffer: what the largest
+    /// convolution or GEMM so far needed for packed activations.
+    pub fn packed_b_capacity(&self) -> usize {
+        self.pb.capacity()
     }
 
     pub(crate) fn pa_arc(&self) -> &Arc<Vec<f32>> {
@@ -499,12 +533,13 @@ impl GemmScratch {
 
     /// `(ptr, capacity)` of each internal buffer — lets arena-reuse tests
     /// assert that steady-state calls touch no allocator.
-    pub fn fingerprint(&self) -> [(usize, usize); 4] {
+    pub fn fingerprint(&self) -> [(usize, usize); 5] {
         [
             (self.pa.as_ptr() as usize, self.pa.capacity()),
             (self.pb.as_ptr() as usize, self.pb.capacity()),
             (self.qa.as_ptr() as usize, self.qa.capacity()),
             (self.qs.as_ptr() as usize, self.qs.capacity()),
+            (self.col.as_ptr() as usize, self.col.capacity()),
         ]
     }
 }
